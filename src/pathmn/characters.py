@@ -10,7 +10,6 @@ the fast "hybrid" route; the brute oracle sums p_cyc over completions.
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -27,7 +26,7 @@ from pathmn.partitions import (
     partitions_of,
 )
 from pathmn.ribbons import skew_mn, stable_expansion, tiling_tally
-from pathmn.symfunc import SCHUR, SymExpansion, mult_by_power
+from pathmn.symfunc import SymExpansion, _p_to_schur, mult_by_power
 
 __all__ = [
     "atomic_schur",
@@ -110,30 +109,21 @@ class CharacterTable:
         return buf.getvalue()
 
 
-def character_table(n: int, threads: int = 1) -> CharacterTable:
+def character_table(n: int) -> CharacterTable:
     """Full table of chi^lam_mu for lam, mu partitions of n.
 
-    Columns may be computed in a thread pool; the assembly order is fixed by
-    the canonical partition order either way, so output does not depend on
-    thread count.
+    Column mu is the Schur expansion of p_mu (Murnaghan-Nakayama: each p_r
+    adds ribbons), read from the shared prefix memo of _p_to_schur.
     """
     if n < 0:
         raise ParseError(f"table size must be nonnegative, got {n}")
     check_guard(n, 20, "character table size n")
     shapes = tuple(canonical_order(partitions_of(n)))
-
-    def column(mu):
-        return [skew_mn(lam, mu) for lam in shapes]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            columns = list(pool.map(column, shapes))
-    else:
-        columns = [column(mu) for mu in shapes]
     entries = {}
-    for j, mu in enumerate(shapes):
-        for i, lam in enumerate(shapes):
-            entries[(lam, mu)] = columns[j][i]
+    for mu in shapes:
+        column = _p_to_schur(mu).terms
+        for lam in shapes:
+            entries[(lam, mu)] = int(column.get(lam, 0))
     return CharacterTable(n, shapes, entries)
 
 

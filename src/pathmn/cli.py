@@ -70,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="character table of S_n")
     p.add_argument("n", type=int)
-    p.add_argument("--threads", type=int, default=1)
     add_format(p)
 
     p = sub.add_parser("stat", help="symmetrize a statistic: print ch_n(R f^moment)")
@@ -92,6 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Coefficients pass CPython's 4300-digit int->str limit from about n = 1600.
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is not None:
+        set_digits(0)
     args = build_parser().parse_args(argv)
     try:
         handler = _HANDLERS[args.command]
@@ -167,7 +170,7 @@ def _cmd_char(args):
 
 
 def _cmd_table(args):
-    table = characters.character_table(args.n, threads=args.threads)
+    table = characters.character_table(args.n)
     if args.format == "csv":
         sys.stdout.write(table.to_csv())
     elif args.format == "json":

@@ -165,8 +165,8 @@ def enumerate_monotonic(mu, min_tail_row: int = 1, extra_ones: int = 0):
     types, depths, cols, signs = [], [], [], []
 
     def dfs(last_col, last_depth):
-        if min_tail_row > 1:
-            # frozen search: any prefix is itself a frozen tiling
+        # complete tilings, and in a frozen search every prefix (itself frozen)
+        if min_tail_row > 1 or not any(remaining.values()):
             yield MonotonicTiling(
                 chain=tuple(chain),
                 type=tuple(types),
@@ -176,15 +176,6 @@ def enumerate_monotonic(mu, min_tail_row: int = 1, extra_ones: int = 0):
             )
             if not any(remaining.values()):
                 return
-        elif not any(remaining.values()):
-            yield MonotonicTiling(
-                chain=tuple(chain),
-                type=tuple(types),
-                depth=tuple(depths),
-                tail_cols=tuple(cols),
-                signs=tuple(signs),
-            )
-            return
         candidates = []
         for size, count in remaining.items():
             if not count:

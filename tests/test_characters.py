@@ -14,6 +14,7 @@ from pathmn import (
     character_table,
     coefficient_polynomiality,
     partitions_of,
+    skew_mn,
     support_check,
     syt_count,
     z_mu,
@@ -153,13 +154,16 @@ def test_character_table_csv():
     )
 
 
-def test_character_table_threads():
-    base = character_table(6)
-    threaded = character_table(6, threads=4)
-    assert threaded.shapes == base.shapes
-    for lam in base.shapes:
-        for mu in base.shapes:
-            assert threaded.value(lam, mu) == base.value(lam, mu)
+def test_character_table_matches_skew_mn():
+    # the power-sum columns agree entry by entry with the ribbon recursion,
+    # and every entry is a plain int (so the table serializes to JSON)
+    for n in range(10):
+        t = character_table(n)
+        for lam in t.shapes:
+            for mu in t.shapes:
+                value = t.value(lam, mu)
+                assert type(value) is int
+                assert value == skew_mn(lam, mu)
 
 
 def test_character_table_guards():

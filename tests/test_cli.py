@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -80,6 +81,18 @@ def test_atomic(capsys):
     assert SymExpansion.from_json(out) == atomic_schur(pp)
 
 
+def test_atomic_huge_coefficients(capsys):
+    # s[2000] counts the 1996! completions: far past the default 4300-digit
+    # int->str limit, yet printed in full in both formats
+    pp = ["atomic", "--pp", "1,2,3,4 -> 2,3,4,5", "--n", "2000"]
+    out, _ = run_cli(capsys, pp + ["--format", "json"])
+    top = json.loads(out)["terms"][0]
+    assert top["partition"] == [2000]
+    assert int(top["num"]) == math.factorial(1996) and top["den"] == "1"
+    out, _ = run_cli(capsys, pp)
+    assert out.startswith(f"{math.factorial(1996)}·s[2000] ")
+
+
 def test_char(capsys):
     out, _ = run_cli(capsys, ["char", "4,3", "--pp", A7_PP, "--n", "7"])
     assert out == "3\n"
@@ -113,10 +126,19 @@ def test_table_csv(capsys):
     )
 
 
-def test_table_threads(capsys):
-    base, _ = run_cli(capsys, ["table", "5"])
-    threaded, _ = run_cli(capsys, ["table", "5", "--threads", "4"])
-    assert threaded == base
+def test_table_json(capsys):
+    out, _ = run_cli(capsys, ["table", "4", "--format", "json"])
+    assert json.loads(out) == {
+        "n": 4,
+        "shapes": [[4], [3, 1], [2, 2], [2, 1, 1], [1, 1, 1, 1]],
+        "rows": [
+            [1, 1, 1, 1, 1],
+            [-1, 0, -1, 1, 3],
+            [0, -1, 2, 0, 2],
+            [1, 0, -1, -1, 3],
+            [-1, 1, 1, -1, 1],
+        ],
+    }
 
 
 def test_stat_builtin(capsys):
