@@ -2,13 +2,15 @@
 
 Commands: path-expand, p-expand, atomic, char, table, stat, oracle-check,
 bench. Results go to stdout, diagnostics to stderr. Exit codes: 0 success,
-2 parse failure, 3 guard refusal, 4 oracle mismatch.
+1 stdout closed before the output was written, 2 parse failure, 3 guard
+refusal, 4 oracle mismatch.
 """
 
 import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from time import perf_counter
@@ -99,7 +101,14 @@ def main(argv=None) -> int:
     try:
         handler = _HANDLERS[args.command]
         handler(args)
+        sys.stdout.flush()
         return 0
+    except BrokenPipeError:
+        # The reader went away (e.g. `| head`): send whatever is still
+        # buffered to devnull so the exit flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -79,37 +79,34 @@ class IndicatorTerm:
 def decompose(pp: PartialPermutation) -> GraphType:
     """Path and cycle type of the functional graph of (I, J).
 
-    Components are walked deterministically: paths from their unique source in
-    increasing order, then cycles from their minimal vertex.
+    Only the vertices of I u J are walked: paths from their unique source (a
+    vertex of I outside J), then cycles. The n - |I u J| isolated vertices
+    are the size-1 paths.
     """
     succ = dict(zip(pp.I, pp.J))
-    pred = dict(zip(pp.J, pp.I))
-    seen = set()
+    targets = set(pp.J)
+    isolated = pp.n - len(targets.union(pp.I))
     paths = []
-    # Path sources are vertices with no incoming edge; isolated ones give 1-paths.
-    for v in range(1, pp.n + 1):
-        if v in pred or v in seen:
+    for v in pp.I:
+        if v in targets:
             continue
         size = 1
-        seen.add(v)
-        w = v
-        while w in succ:
-            w = succ[w]
-            seen.add(w)
+        while v in succ:
+            v = succ.pop(v)
             size += 1
         paths.append(size)
     cycles = []
-    for v in range(1, pp.n + 1):
-        if v in seen:
-            continue
-        size = 0
-        w = v
-        while w not in seen:
-            seen.add(w)
+    while succ:
+        start, v = succ.popitem()
+        size = 1
+        while v != start:
+            v = succ.pop(v)
             size += 1
-            w = succ[w]
         cycles.append(size)
-    return GraphType(tuple(sorted(paths, reverse=True)), tuple(sorted(cycles, reverse=True)))
+    return GraphType(
+        tuple(sorted(paths, reverse=True)) + (1,) * isolated,
+        tuple(sorted(cycles, reverse=True)),
+    )
 
 
 def indicator_product(a: IndicatorTerm, b: IndicatorTerm) -> Optional[IndicatorTerm]:

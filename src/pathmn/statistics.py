@@ -16,7 +16,7 @@ from functools import cache
 
 from pathmn.characters import _atomic_from_type
 from pathmn.errors import ParseError, check_guard
-from pathmn.partial_perm import IndicatorTerm, PartialPermutation, decompose, indicator_product
+from pathmn.partial_perm import IndicatorTerm, PartialPermutation, decompose
 from pathmn.partitions import check_partition
 from pathmn.ribbons import skew_mn
 from pathmn.symfunc import SCHUR, SymExpansion
@@ -58,11 +58,10 @@ def make_statistic(n: int, terms) -> Statistic:
         if t.pp.n != n:
             raise ParseError(f"term on ambient size {t.pp.n}, expected {n}")
         merged[t.pp] = merged.get(t.pp, 0) + Fraction(t.coeff)
-    kept = [
-        IndicatorTerm(c, pp)
-        for pp, c in merged.items()
-        if c
-    ]
+    return _sorted_statistic(n, [IndicatorTerm(c, pp) for pp, c in merged.items() if c])
+
+
+def _sorted_statistic(n: int, kept) -> Statistic:
     kept.sort(key=lambda t: (t.pp.k, t.pp.I, t.pp.J))
     return Statistic(n, tuple(kept))
 
@@ -92,20 +91,56 @@ def builtin(name: str, n: int) -> Statistic:
     return make_statistic(n, terms)
 
 
+def _scaled_numerators(terms):
+    """The lcm d of the coefficient denominators, and each coefficient times d."""
+    den = math.lcm(*(t.coeff.denominator for t in terms))
+    return den, [t.coeff.numerator * (den // t.coeff.denominator) for t in terms]
+
+
 @cache
 def stat_product(f: Statistic, g: Statistic) -> Statistic:
-    """Pointwise product, expanded by pairwise indicator merging."""
+    """Pointwise product, expanded by pairwise indicator merging.
+
+    Each term of f is turned into forward and backward constraint maps once;
+    a term of g is injective on its own, so it merges unless one of its pairs
+    clashes with those maps. Coefficients add up as integers over the common
+    denominator, and only the distinct nonzero products become validated terms.
+    """
     if f.n != g.n:
         raise ParseError(f"ambient sizes differ: {f.n} vs {g.n}")
     check_guard(f.n, 12, "statistic product ambient size n")
+    f_den, f_nums = _scaled_numerators(f.terms)
+    g_den, g_nums = _scaled_numerators(g.terms)
+    g_items = [(t.pp.pairs(), cb) for t, cb in zip(g.terms, g_nums)]
     acc = {}
-    for a in f.terms:
-        for b in g.terms:
-            t = indicator_product(a, b)
-            if t is None:
-                continue
-            acc[t.pp] = acc.get(t.pp, 0) + t.coeff
-    return make_statistic(f.n, (IndicatorTerm(c, pp) for pp, c in acc.items()))
+    for a, ca in zip(f.terms, f_nums):
+        fwd = dict(zip(a.pp.I, a.pp.J))
+        bwd = dict(zip(a.pp.J, a.pp.I))
+        a_pairs = sorted(fwd.items())
+        a_key = tuple(a_pairs)
+        for b_pairs, cb in g_items:
+            new = []
+            for i, j in b_pairs:
+                target = fwd.get(i)
+                if target is None:
+                    if j in bwd:
+                        break
+                    new.append((i, j))
+                elif target != j:
+                    break
+            else:
+                key = tuple(sorted(a_pairs + new)) if new else a_key
+                acc[key] = acc.get(key, 0) + ca * cb
+    den = f_den * g_den
+    kept = [
+        IndicatorTerm(
+            Fraction(c, den),
+            PartialPermutation(f.n, tuple(i for i, _ in key), tuple(j for _, j in key)),
+        )
+        for key, c in acc.items()
+        if c
+    ]
+    return _sorted_statistic(f.n, kept)
 
 
 @cache
@@ -116,16 +151,19 @@ def symmetrize(f: Statistic) -> ClassFunction:
     expansions, so the Reynolds average costs one expansion per class, divided
     by n! at the end.
     """
+    den, nums = _scaled_numerators(f.terms)
     groups = {}
-    for t in f.terms:
+    for t, c in zip(f.terms, nums):
         gt = decompose(t.pp)
-        groups[gt] = groups.get(gt, 0) + t.coeff
-    total = SymExpansion(SCHUR, f.n, {})
+        groups[gt] = groups.get(gt, 0) + c
+    acc = {}
     for gt, c in groups.items():
         if not c:
             continue
-        total = total + _atomic_from_type(gt.path_type, gt.cycle_type).scale(c)
-    return ClassFunction(f.n, total.scale(Fraction(1, math.factorial(f.n))))
+        for lam, v in _atomic_from_type(gt.path_type, gt.cycle_type).terms.items():
+            acc[lam] = acc.get(lam, 0) + c * v
+    scale = Fraction(1, den * math.factorial(f.n))
+    return ClassFunction(f.n, SymExpansion(SCHUR, f.n, {lam: v * scale for lam, v in acc.items()}))
 
 
 def class_eval(cf: ClassFunction, mu) -> Fraction:

@@ -9,6 +9,8 @@ sums, the path power sums, and the Schur basis live here too.
 
 import json
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 
@@ -42,6 +44,29 @@ _SYMBOL = {SCHUR: "s", POWER: "p"}
 # basis element, and a true minus sign between terms.
 DOT = "·"
 MINUS = "−"
+
+
+# CPython refuses str(int) and int(str) past 4300 digits unless the limit is
+# lifted for the whole interpreter; Decimal converts either way without it.
+_INT_TEXT = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _int_text(v: int) -> str:
+    """Decimal digits of v, in full at any size."""
+    try:
+        return str(v)
+    except ValueError:
+        return str(Decimal(v))
+
+
+def _text_int(text) -> int:
+    """int(text), also past the digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        if not (isinstance(text, str) and _INT_TEXT.fullmatch(text)):
+            raise
+        return int(Decimal(text))
 
 
 class SymExpansion:
@@ -113,7 +138,9 @@ class SymExpansion:
         pieces = []
         for lam, c in self.items():
             mag = abs(c)
-            coeff = str(mag) if mag.denominator == 1 else f"({mag})"
+            coeff = _int_text(mag.numerator)
+            if mag.denominator != 1:
+                coeff = f"({coeff}/{_int_text(mag.denominator)})"
             pieces.append((c < 0, f"{coeff}{DOT}{sym}{format_partition(lam)}"))
         if long:
             return "\n".join((MINUS if neg else "") + body for neg, body in pieces)
@@ -134,8 +161,8 @@ class SymExpansion:
                 "terms": [
                     {
                         "partition": list(lam),
-                        "num": str(c.numerator),
-                        "den": str(c.denominator),
+                        "num": _int_text(c.numerator),
+                        "den": _int_text(c.denominator),
                     }
                     for lam, c in self.items()
                 ],
@@ -152,7 +179,7 @@ class SymExpansion:
             terms = {}
             for t in data["terms"]:
                 lam = tuple(int(p) for p in t["partition"])
-                c = Fraction(int(t["num"]), int(t["den"]))
+                c = Fraction(_text_int(t["num"]), _text_int(t["den"]))
                 terms[lam] = terms.get(lam, 0) + c
             return cls(data["basis"], int(data["degree"]), terms)
         except (KeyError, TypeError, ValueError) as e:
@@ -183,10 +210,11 @@ def power_to_schur(f: SymExpansion) -> SymExpansion:
     """Rewrite a power-basis expansion in the Schur basis, term by term."""
     if f.basis != POWER:
         raise ParseError("power_to_schur needs a power-basis expansion")
-    out = SymExpansion(SCHUR, f.degree, {})
+    out = {}
     for mu, c in f.terms.items():
-        out = out + _p_to_schur(tuple(sorted(mu, reverse=True))).scale(c)
-    return out
+        for lam, v in _p_to_schur(tuple(sorted(mu, reverse=True))).terms.items():
+            out[lam] = out.get(lam, 0) + c * v
+    return SymExpansion(SCHUR, f.degree, out)
 
 
 def path_power_in_p(mu) -> SymExpansion:

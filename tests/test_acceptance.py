@@ -311,13 +311,13 @@ def test_criterion_10_scaling():
         brute_atomic(big)
     small = embed(PartialPermutation(3, (1, 2), (2, 3)), 9)
     hybrid = []
-    for _ in range(5):
+    for _ in range(15):
         _clear_all_caches()
         t0 = time.perf_counter()
         atomic_schur(small)
         hybrid.append(time.perf_counter() - t0)
     brute = []
-    for _ in range(5):
+    for _ in range(15):
         t0 = time.perf_counter()
         brute_atomic(small)
         brute.append(time.perf_counter() - t0)

@@ -213,3 +213,20 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "24·s[4]\n"
+
+
+def test_closed_stdout_exits_without_traceback():
+    # about 140 kB of JSON, more than a pipe holds, so the write meets the
+    # closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pathmn.cli", "atomic", "--pp", "1,2,3,4 -> 2,3,4,5",
+         "--n", "4000", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b'{"basis": '
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err

@@ -1,9 +1,12 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import pathmn.partial_perm
+import pathmn.statistics
 from pathmn import (
     GuardError,
     IndicatorTerm,
@@ -13,6 +16,7 @@ from pathmn import (
     class_eval,
     decompose,
     eval_pointwise,
+    indicator_product,
     make_statistic,
     multiplicities,
     partitions_of,
@@ -127,6 +131,85 @@ def test_stat_product_identity_and_errors():
         stat_product(builtin("exc", 4), builtin("exc", 5))
     with pytest.raises(GuardError):
         stat_product(builtin("exc", 13), builtin("exc", 13))
+
+
+def pairwise_product(f, g):
+    """Reference product: one indicator_product per pair of terms."""
+    merged = (indicator_product(a, b) for a in f.terms for b in g.terms)
+    return make_statistic(f.n, [t for t in merged if t is not None])
+
+
+def random_statistic(rng, n, size):
+    coeffs = [Fraction(p, q) for p in (-3, -1, 1, 2) for q in (1, 2, 3, 5)]
+    terms = []
+    for _ in range(size):
+        k = rng.randrange(0, min(n, 3) + 1)
+        I = tuple(rng.sample(range(1, n + 1), k))
+        J = tuple(rng.sample(range(1, n + 1), k))
+        terms.append(IndicatorTerm(rng.choice(coeffs), PartialPermutation(n, I, J)))
+    return make_statistic(n, terms)
+
+
+def test_stat_product_matches_pairwise_merges():
+    rng = random.Random(3)
+    for n in range(1, 8):
+        for _ in range(12):
+            f = random_statistic(rng, n, rng.randrange(0, 10))
+            g = random_statistic(rng, n, rng.randrange(0, 10))
+            assert stat_product(f, g) == pairwise_product(f, g)
+    for n in range(2, 7):
+        exc, maj = builtin("exc", n), builtin("maj", n)
+        assert stat_product(exc, maj) == pairwise_product(exc, maj)
+        assert stat_product(maj, maj) == pairwise_product(maj, maj)
+
+
+def test_stat_product_edge_cases():
+    def stat(n, *terms):
+        return make_statistic(
+            n, [IndicatorTerm(Fraction(c), PartialPermutation(n, I, J)) for c, I, J in terms]
+        )
+
+    # (x + y)(y - x) with x, y compatible: the two xy terms cancel to zero
+    f = stat(4, (1, (1,), (2,)), (1, (2,), (3,)))
+    g = stat(4, (1, (2,), (3,)), (-1, (1,), (2,)))
+    prod = stat_product(f, g)
+    assert prod == pairwise_product(f, g)
+    assert prod == stat(4, (-1, (1,), (2,)), (1, (2,), (3,)))
+    # the empty term is the constant function
+    const = stat(4, (Fraction(-2, 3), (), ()))
+    mixed = stat(4, (Fraction(1, 2), (3, 1), (1, 4)), (Fraction(5, 7), (2,), (2,)))
+    assert stat_product(const, mixed) == pairwise_product(const, mixed)
+    assert stat_product(mixed, const) == stat(
+        4, (Fraction(-1, 3), (1, 3), (4, 1)), (Fraction(-10, 21), (2,), (2,))
+    )
+    assert stat_product(const, const) == stat(4, (Fraction(4, 9), (), ()))
+    # n = 1: the only indicators are the constant and 1_{(1),(1)}
+    one = stat(1, (Fraction(3, 2), (), ()), (Fraction(-1, 4), (1,), (1,)))
+    assert stat_product(one, one) == pairwise_product(one, one)
+    assert stat_product(one, one) == stat(
+        1, (Fraction(9, 4), (), ()), (Fraction(-11, 16), (1,), (1,))
+    )
+    empty = stat(3)
+    assert stat_product(empty, builtin("exc", 3)).terms == ()
+
+
+def test_stat_product_builds_one_term_per_result(monkeypatch):
+    maj6 = builtin("maj", 6)
+    built = []
+    validate = PartialPermutation.__post_init__
+
+    def counting(self):
+        built.append(self)
+        validate(self)
+
+    merges = []
+    monkeypatch.setattr(PartialPermutation, "__post_init__", counting)
+    for module in (pathmn.partial_perm, pathmn.statistics):
+        monkeypatch.setattr(module, "indicator_product", merges.append, raising=False)
+    stat_product.cache_clear()
+    result = stat_product(maj6, maj6)
+    assert len(built) == len(result.terms) > 0
+    assert merges == []
 
 
 def test_symmetrize_known_expansions():

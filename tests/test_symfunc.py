@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,10 +11,12 @@ from pathmn import (
     SCHUR,
     ParseError,
     SymExpansion,
+    atomic_schur,
     enumerate_set_partitions,
     mult_by_power,
     mult_factorial,
     p_in_path_basis,
+    parse_pp,
     partitions_of,
     path_power_in_p,
     path_power_to_schur,
@@ -207,3 +211,29 @@ def test_json_round_trip():
         SymExpansion.from_json('{"basis": "schur"}')
     with pytest.raises(ParseError):
         SymExpansion.from_json('{"basis": "bogus", "degree": 1, "terms": []}')
+
+
+def test_huge_coefficients_under_the_default_digit_limit():
+    # s[2000] has coefficient 1996!, about 5700 digits. In-process CLI runs
+    # lift CPython's int<->str digit limit, so pin the default here.
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        pytest.skip("this Python has no int<->str digit limit")
+    old = sys.get_int_max_str_digits()
+    set_limit(4300)
+    try:
+        with pytest.raises(ValueError):
+            str(math.factorial(1996))
+        e = atomic_schur(parse_pp("1,2,3,4 -> 2,3,4,5", 2000))
+        text = e.to_json()
+        top = json.loads(text)["terms"][0]
+        assert top["partition"] == [2000] and top["den"] == "1"
+        assert int(Decimal(top["num"])) == math.factorial(1996)
+        assert SymExpansion.from_json(text) == e
+        assert e.render().startswith(top["num"] + "·s[2000] ")
+        halved = e.scale(Fraction(1, 2))
+        assert SymExpansion.from_json(halved.to_json()) == halved
+        with pytest.raises(ParseError):
+            SymExpansion.from_json(text.replace(top["num"], top["num"][:-1] + "x"))
+    finally:
+        set_limit(old)
