@@ -12,7 +12,6 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from pathmn.errors import ParseError, check_guard
 from pathmn.partial_perm import PartialPermutation, decompose, embed, pack
@@ -25,7 +24,7 @@ from pathmn.partitions import (
     pad_row,
     partitions_of,
 )
-from pathmn.ribbons import skew_mn, stable_expansion, tiling_tally
+from pathmn.ribbons import memo, skew_mn, stable_expansion, tiling_tally
 from pathmn.symfunc import SymExpansion, _p_to_schur, mult_by_power
 
 __all__ = [
@@ -40,7 +39,7 @@ __all__ = [
 ]
 
 
-@cache
+@memo
 def _atomic_from_type(mu, nu) -> SymExpansion:
     """Atomic expansion from the graph type alone (relabeling invariance).
 

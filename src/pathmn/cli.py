@@ -17,13 +17,8 @@ from time import perf_counter
 
 from pathmn import characters, oracles, ribbons, statistics, symfunc
 from pathmn.errors import GuardError, OracleMismatch, ParseError
-from pathmn.partial_perm import embed, parse_pp
-from pathmn.partitions import (
-    format_partition,
-    parse_composition,
-    parse_partition,
-    partitions_of,
-)
+from pathmn.partial_perm import parse_pp
+from pathmn.partitions import format_partition, parse_composition, parse_partition
 from pathmn.symfunc import POWER, SymExpansion
 
 __all__ = ["main", "build_parser"]
@@ -60,7 +55,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("atomic", help="Schur expansion of the atomic function of (I, J)")
-    p.add_argument("--pp", required=True, help='partial permutation, e.g. "1,4 -> 2,5"')
+    p.add_argument(
+        "--pp",
+        required=True,
+        help='partial permutation, e.g. "1,4 -> 2,5"; write the empty one as --pp="->"',
+    )
     p.add_argument("--n", type=int, required=True, help="ambient size")
     add_format(p)
 
@@ -81,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("oracle-check", help="cross-validate fast rules against oracles")
-    p.add_argument("scope", choices=["atomic", "words", "alternant", "all"])
+    p.add_argument("scope", choices=[*oracles.ORACLE_CHECKS, "all"])
     p.add_argument("--max-n", type=int, default=5)
 
     p = sub.add_parser("bench", help="time the hybrid rule against the brute oracle")
@@ -93,14 +92,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Coefficients pass CPython's 4300-digit int->str limit from about n = 1600.
+    # Coefficients pass CPython's 4300-digit int->str limit from about n = 1600:
+    # lift it for this call only.
     set_digits = getattr(sys, "set_int_max_str_digits", None)
     if set_digits is not None:
+        digits_before = sys.get_int_max_str_digits()
         set_digits(0)
-    args = build_parser().parse_args(argv)
     try:
-        handler = _HANDLERS[args.command]
-        handler(args)
+        args = build_parser().parse_args(argv)
+        _HANDLERS[args.command](args)
         sys.stdout.flush()
         return 0
     except BrokenPipeError:
@@ -118,6 +118,9 @@ def main(argv=None) -> int:
     except OracleMismatch as e:
         print(f"oracle mismatch: {e}", file=sys.stderr)
         return 4
+    finally:
+        if set_digits is not None:
+            set_digits(digits_before)
 
 
 def _print_expansion(exp: SymExpansion, args, symbol=None, basis_name=None):
@@ -238,86 +241,9 @@ def _cmd_stat(args):
 
 
 def _cmd_oracle_check(args):
-    scopes = ["atomic", "words", "alternant"] if args.scope == "all" else [args.scope]
+    scopes = list(oracles.ORACLE_CHECKS) if args.scope == "all" else [args.scope]
     for scope in scopes:
-        count = _ORACLE_SCOPES[scope](args.max_n)
-        print(f"{scope}: OK ({count} comparisons)")
-
-
-def _packed_pps(max_k: int):
-    """Every packed pair with k <= max_k constraints, I ascending."""
-    from itertools import combinations, permutations
-
-    from pathmn.partial_perm import PartialPermutation
-
-    yield PartialPermutation(0, (), ())
-    for k in range(1, max_k + 1):
-        for r in range(k, 2 * k + 1):
-            universe = range(1, r + 1)
-            for I in combinations(universe, k):
-                for J in permutations(universe, k):
-                    if set(I) | set(J) == set(universe):
-                        yield PartialPermutation(r, I, J)
-
-
-def _check_atomic_scope(max_n: int) -> int:
-    n = min(max_n, 7)
-    count = 0
-    for pp in _packed_pps(3):
-        if pp.n > n:
-            continue
-        em = embed(pp, n)
-        fast = characters.atomic_schur(em)
-        slow = symfunc.power_to_schur(oracles.brute_atomic(em))
-        if fast != slow:
-            raise OracleMismatch(
-                f"atomic expansion disagrees with brute force for {pp.I} -> {pp.J} at n={n}"
-            )
-        count += 1
-    return count
-
-
-def _check_words_scope(max_n: int) -> int:
-    count = 0
-    for m in range(min(max_n, 5) + 1):
-        for mu in partitions_of(m):
-            if oracles.word_array_path_expansion(mu, m) != symfunc.path_power_to_schur(mu):
-                raise OracleMismatch(f"word-array expansion disagrees for mu={mu}")
-            count += 1
-    return count
-
-
-def _compositions_of(n: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions_of(n - first):
-            yield (first,) + rest
-
-
-def _check_alternant_scope(max_n: int) -> int:
-    count = 0
-    for m in range(min(max_n, 6) + 1):
-        for lam in partitions_of(m):
-            for alpha in _compositions_of(m):
-                if oracles.alternant_char(lam, alpha) != ribbons.skew_mn(lam, alpha):
-                    raise OracleMismatch(f"alternant disagrees at lam={lam}, alpha={alpha}")
-                count += 1
-    return count
-
-
-_ORACLE_SCOPES = {
-    "atomic": _check_atomic_scope,
-    "words": _check_words_scope,
-    "alternant": _check_alternant_scope,
-}
-
-
-def _clear_all_caches():
-    ribbons.clear_caches()
-    symfunc._p_to_schur.cache_clear()
-    characters._atomic_from_type.cache_clear()
+        print(f"{scope}: OK ({oracles.ORACLE_CHECKS[scope](args.max_n)} comparisons)")
 
 
 def _cmd_bench(args):
@@ -325,7 +251,7 @@ def _cmd_bench(args):
     reps = max(args.reps, 1)
     hybrid_times = []
     for _ in range(reps):
-        _clear_all_caches()
+        ribbons.clear_caches()
         t0 = perf_counter()
         characters.atomic_schur(pp)
         hybrid_times.append(perf_counter() - t0)

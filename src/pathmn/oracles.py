@@ -8,14 +8,19 @@ Three independent computations live here:
   tracked as signed exponent vectors; shares no code with the tableau search.
 * word_array_path_expansion — the standard-and-stable word array sum, an
   independent route to the Schur expansion of a path power sum.
+
+ORACLE_CHECKS holds the sweeps of `pathmn oracle-check`: each oracle against
+its fast rule on every small input.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 
-from pathmn.errors import ParseError, check_guard
-from pathmn.partial_perm import PartialPermutation
-from pathmn.partitions import check_composition, check_partition
-from pathmn.symfunc import POWER, SCHUR, SymExpansion
+from pathmn.characters import atomic_schur
+from pathmn.errors import OracleMismatch, ParseError, check_guard
+from pathmn.partial_perm import PartialPermutation, embed
+from pathmn.partitions import check_composition, check_partition, partitions_of
+from pathmn.ribbons import skew_mn
+from pathmn.symfunc import POWER, SCHUR, SymExpansion, path_power_to_schur, power_to_schur
 
 __all__ = [
     "brute_atomic",
@@ -25,6 +30,8 @@ __all__ = [
     "unstable_pairs",
     "swap_unstable",
     "word_array_path_expansion",
+    "packed_pairs",
+    "ORACLE_CHECKS",
 ]
 
 
@@ -196,3 +203,58 @@ def _sort_sign(seq) -> int:
         if seq[a] < seq[b]
     )
     return -1 if inv % 2 else 1
+
+
+def packed_pairs(max_k: int):
+    """Every packed pair with k <= max_k constraints, I ascending."""
+    for k in range(max_k + 1):
+        for r in range(k, 2 * k + 1):
+            universe = range(1, r + 1)
+            for I in combinations(universe, k):
+                for J in permutations(universe, k):
+                    if set(I) | set(J) == set(universe):
+                        yield PartialPermutation(r, I, J)
+
+
+def _check_atomic_scope(max_n: int) -> int:
+    n = min(max_n, 7)
+    pps = [embed(pp, n) for pp in packed_pairs(3) if pp.n <= n]
+    for pp in pps:
+        if atomic_schur(pp) != power_to_schur(brute_atomic(pp)):
+            raise OracleMismatch(
+                f"atomic expansion disagrees with brute force for {pp.I} -> {pp.J} at n={n}"
+            )
+    return len(pps)
+
+
+def _check_words_scope(max_n: int) -> int:
+    mus = [mu for m in range(min(max_n, 5) + 1) for mu in partitions_of(m)]
+    for mu in mus:
+        if word_array_path_expansion(mu, sum(mu)) != path_power_to_schur(mu):
+            raise OracleMismatch(f"word-array expansion disagrees for mu={mu}")
+    return len(mus)
+
+
+def _compositions_of(n: int):
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _compositions_of(n - first):
+            yield (first,) + rest
+
+
+def _check_alternant_scope(max_n: int) -> int:
+    pairs = [(lam, alpha) for m in range(min(max_n, 6) + 1)
+             for lam in partitions_of(m) for alpha in _compositions_of(m)]
+    for lam, alpha in pairs:
+        if alternant_char(lam, alpha) != skew_mn(lam, alpha):
+            raise OracleMismatch(f"alternant disagrees at lam={lam}, alpha={alpha}")
+    return len(pairs)
+
+
+# scope -> sweep(max_n) returning its number of comparisons; raises OracleMismatch
+ORACLE_CHECKS = {
+    "atomic": _check_atomic_scope,
+    "words": _check_words_scope,
+    "alternant": _check_alternant_scope,
+}

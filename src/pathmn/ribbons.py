@@ -40,6 +40,22 @@ __all__ = [
 ]
 
 
+_MEMOS = []  # every memo in the package; this module sits below all that hold one
+
+
+def memo(fn):
+    """functools.cache, registered so that clear_caches() empties it."""
+    cached = cache(fn)
+    _MEMOS.append(cached)
+    return cached
+
+
+def clear_caches():
+    """Empty every memo in the package."""
+    for m in _MEMOS:
+        m.cache_clear()
+
+
 @dataclass(frozen=True)
 class RibbonAddition:
     base: tuple
@@ -103,7 +119,7 @@ def skew_mn(outer, alpha, inner=()) -> int:
     return _skew_mn(outer, inner, alpha)
 
 
-@cache
+@memo
 def _skew_mn(outer, inner, alpha) -> int:
     if not alpha:
         return 1 if outer == inner else 0
@@ -236,7 +252,7 @@ def tiling_from_type_depth(alpha, depths):
     )
 
 
-@cache
+@memo
 def tiling_tally(mu) -> dict:
     """shape -> sum of sign(T) over monotonic tilings with size multiset mu."""
     tally = {}
@@ -328,9 +344,3 @@ def render_tiling(t: MonotonicTiling) -> str:
             cells.append(f"{idx:>2}{mark}")
         lines.append("".join(cells).rstrip())
     return "\n".join(lines)
-
-
-def clear_caches():
-    """Drop memoized tableau counts and tiling tallies (for honest benchmarks)."""
-    _skew_mn.cache_clear()
-    tiling_tally.cache_clear()

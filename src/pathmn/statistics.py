@@ -12,13 +12,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from pathmn.characters import _atomic_from_type
 from pathmn.errors import ParseError, check_guard
 from pathmn.partial_perm import IndicatorTerm, PartialPermutation, decompose
 from pathmn.partitions import check_partition
-from pathmn.ribbons import skew_mn
+from pathmn.ribbons import memo, skew_mn
 from pathmn.symfunc import SCHUR, SymExpansion
 
 __all__ = [
@@ -97,7 +96,7 @@ def _scaled_numerators(terms):
     return den, [t.coeff.numerator * (den // t.coeff.denominator) for t in terms]
 
 
-@cache
+@memo
 def stat_product(f: Statistic, g: Statistic) -> Statistic:
     """Pointwise product, expanded by pairwise indicator merging.
 
@@ -143,7 +142,7 @@ def stat_product(f: Statistic, g: Statistic) -> Statistic:
     return _sorted_statistic(f.n, kept)
 
 
-@cache
+@memo
 def symmetrize(f: Statistic) -> ClassFunction:
     """ch_n(R f): group terms by graph type, expand each class atomically.
 

@@ -12,9 +12,8 @@ import math
 import re
 from decimal import Decimal
 from fractions import Fraction
-from functools import cache
 
-from pathmn.errors import ParseError
+from pathmn.errors import ParseError, check_guard
 from pathmn.partitions import (
     check_composition,
     check_partition,
@@ -22,7 +21,7 @@ from pathmn.partitions import (
     format_partition,
     mult_factorial,
 )
-from pathmn.ribbons import add_ribbons, tiling_tally
+from pathmn.ribbons import add_ribbons, memo, tiling_tally
 
 __all__ = [
     "SCHUR",
@@ -39,6 +38,8 @@ SCHUR = "schur"
 POWER = "power"
 
 _SYMBOL = {SCHUR: "s", POWER: "p"}
+
+_MAX_PARTS = 400  # recursion depth grows with the parts: 491 stop p-expand, 987 path-expand
 
 # Unicode used by the human renderer: a middle dot between coefficient and
 # basis element, and a true minus sign between terms.
@@ -199,7 +200,7 @@ def mult_by_power(f: SymExpansion, r: int) -> SymExpansion:
     return SymExpansion(SCHUR, f.degree + r, out)
 
 
-@cache
+@memo
 def _p_to_schur(mu) -> SymExpansion:
     if not mu:
         return SymExpansion(SCHUR, 0, {(): Fraction(1)})
@@ -212,6 +213,7 @@ def power_to_schur(f: SymExpansion) -> SymExpansion:
         raise ParseError("power_to_schur needs a power-basis expansion")
     out = {}
     for mu, c in f.terms.items():
+        check_guard(len(mu), _MAX_PARTS, "number of parts")
         for lam, v in _p_to_schur(tuple(sorted(mu, reverse=True))).terms.items():
             out[lam] = out.get(lam, 0) + c * v
     return SymExpansion(SCHUR, f.degree, out)
@@ -252,6 +254,7 @@ def path_power_to_schur(mu) -> SymExpansion:
     """Schur expansion of the path power sum: m(mu)! times the signed tally of
     monotonic ribbon tilings with size multiset mu, grouped by shape."""
     mu = check_partition(tuple(sorted(mu, reverse=True)))
+    check_guard(len(mu), _MAX_PARTS, "number of parts")
     m = mult_factorial(mu)
     tally = tiling_tally(mu)
     return SymExpansion(SCHUR, sum(mu), {shape: m * c for shape, c in tally.items()})

@@ -3,8 +3,7 @@
 Everything here is deliberately brute force: straight enumeration over S_n,
 quadratic longest-increasing-subsequence, recursive tableau counting, chain
 enumeration for ribbon characters. The point is independence from the package
-internals, so keep these free of pathmn imports (except packed_pairs, which
-only builds PartialPermutation values).
+internals, so keep these free of pathmn imports.
 """
 
 import itertools
@@ -154,17 +153,3 @@ def brute_skew_mn(outer, alpha, inner=()):
     go(inner, 0, 1)
     return total
 
-
-def packed_pairs(max_k):
-    """All packed partial permutations with at most max_k constraints."""
-    from pathmn import PartialPermutation
-
-    out = []
-    for k in range(max_k + 1):
-        for r in range(k, 2 * k + 1):
-            full = set(range(1, r + 1))
-            for I in itertools.combinations(range(1, r + 1), k):
-                for J in itertools.permutations(range(1, r + 1), k):
-                    if set(I) | set(J) == full:
-                        out.append(PartialPermutation(r, I, J))
-    return out

@@ -20,6 +20,7 @@ from pathmn import (
     atomic_schur,
     brute_atomic,
     builtin,
+    clear_caches,
     coefficient_polynomiality,
     embed,
     frozen_set,
@@ -38,8 +39,8 @@ from pathmn import (
     variance_on_class,
     word_array_path_expansion,
 )
-from pathmn.cli import _clear_all_caches
-from brute import all_perms, lis_length, packed_pairs
+from pathmn.oracles import packed_pairs
+from brute import all_perms, lis_length
 
 
 def report(num, elapsed, budget):
@@ -299,7 +300,7 @@ def test_criterion_09_local_dimensions():
 
 def test_criterion_10_scaling():
     big = embed(PartialPermutation(5, (1, 2, 3, 4), (2, 3, 4, 5)), 25)
-    _clear_all_caches()
+    clear_caches()
     t0 = time.perf_counter()
     exp = atomic_schur(big)
     big_time = time.perf_counter() - t0
@@ -312,7 +313,7 @@ def test_criterion_10_scaling():
     small = embed(PartialPermutation(3, (1, 2), (2, 3)), 9)
     hybrid = []
     for _ in range(15):
-        _clear_all_caches()
+        clear_caches()
         t0 = time.perf_counter()
         atomic_schur(small)
         hybrid.append(time.perf_counter() - t0)

@@ -1,8 +1,13 @@
+import ast
 import json
 import math
 import subprocess
 import sys
+from decimal import Decimal
 
+import pytest
+
+import pathmn.cli
 from pathmn import SymExpansion, PartialPermutation, atomic_schur, builtin, stat_to_json
 from pathmn.cli import main
 
@@ -83,14 +88,42 @@ def test_atomic(capsys):
 
 def test_atomic_huge_coefficients(capsys):
     # s[2000] counts the 1996! completions: far past the default 4300-digit
-    # int->str limit, yet printed in full in both formats
+    # int->str limit, yet printed in full in both formats (the test converts
+    # through Decimal, since the CLI lifts the limit only during its call)
     pp = ["atomic", "--pp", "1,2,3,4 -> 2,3,4,5", "--n", "2000"]
     out, _ = run_cli(capsys, pp + ["--format", "json"])
     top = json.loads(out)["terms"][0]
     assert top["partition"] == [2000]
-    assert int(top["num"]) == math.factorial(1996) and top["den"] == "1"
+    assert int(Decimal(top["num"])) == math.factorial(1996) and top["den"] == "1"
     out, _ = run_cli(capsys, pp)
-    assert out.startswith(f"{math.factorial(1996)}·s[2000] ")
+    assert out.startswith(f"{Decimal(math.factorial(1996))}·s[2000] ")
+
+
+def test_digit_limit_is_lifted_for_the_call_only(capsys):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int<->str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        argv = ["atomic", "--pp", "1,2,3,4 -> 2,3,4,5", "--n", "2000"]
+        out, _ = run_cli(capsys, argv)
+        csv_out, _ = run_cli(capsys, argv + ["--format", "csv"])  # str(int) needs the lift
+        assert sys.get_int_max_str_digits() == 4300
+        top = str(Decimal(math.factorial(1996)))
+        assert out.startswith(f"{top}·s[2000] ")
+        assert csv_out.splitlines()[1] == f"[2000],{top},1"
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_empty_partial_permutation(capsys):
+    out, _ = run_cli(capsys, ["atomic", "--pp=->", "--n", "3"])
+    assert out == "6·s[3]\n"
+    # argparse reads a separate "->" as an option, hence the documented --pp="->"
+    _, err = run_cli(capsys, ["atomic", "--pp", "->", "--n", "3"], expect_rc=2)
+    assert "expected one argument" in err
+    out, _ = run_cli(capsys, ["atomic", "--help"])
+    assert '--pp="->"' in out
 
 
 def test_char(capsys):
@@ -177,6 +210,15 @@ def test_guard_exit_code(capsys, monkeypatch):
     assert "exceeds the guard limit 3" in err
 
 
+def test_part_count_guard(capsys):
+    # one recursion level per part: past the guard these died with RecursionError
+    for argv in (["path-expand", "1^1200"], ["p-expand", "1^1000"]):
+        _, err = run_cli(capsys, argv, expect_rc=3)
+        assert err.startswith("refused: number of parts = ")
+    out, _ = run_cli(capsys, ["path-expand", "1^400"])
+    assert out == f"{math.factorial(400)}·s[400]\n"
+
+
 def test_oracle_check(capsys):
     out, _ = run_cli(capsys, ["oracle-check", "alternant", "--max-n", "3"])
     assert out == "alternant: OK (18 comparisons)\n"
@@ -230,3 +272,23 @@ def test_closed_stdout_exits_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
+
+
+def test_cli_reads_no_private_names_of_the_package():
+    tree = ast.parse(open(pathmn.cli.__file__, encoding="utf-8").read())
+    bound, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "pathmn":
+            bound |= {a.asname or a.name for a in node.names}
+            private += [a.name for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Import):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names
+                      if a.name.split(".")[0] == "pathmn"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                private.append(ast.unparse(node))
+    assert private == []

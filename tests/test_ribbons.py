@@ -1,12 +1,18 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
+import pathmn
 from pathmn import (
     ParseError,
+    PartialPermutation,
     add_ribbons,
+    atomic_schur,
+    builtin,
+    character_table,
     clear_caches,
     contains,
     enumerate_monotonic,
@@ -18,6 +24,8 @@ from pathmn import (
     render_tiling,
     skew_mn,
     stable_expansion,
+    stat_product,
+    symmetrize,
     tiling_from_type_depth,
     tiling_tally,
 )
@@ -282,6 +290,30 @@ def test_render_tiling():
 
 
 def test_clear_caches_is_safe():
+    assert clear_caches is pathmn.ribbons.clear_caches
+    exc4 = builtin("exc", 4)
+    character_table(5)
+    atomic_schur(PartialPermutation(6, (1, 2, 4), (2, 3, 4)))
+    path_power_to_schur((2, 1))
+    symmetrize(stat_product(exc4, exc4))
     before = skew_mn((4, 3, 1), (3, 2, 2, 1))
+    # every memo of the package, found the way perfbench/tracer.py finds them
+    memos = {
+        f"{name}.{attr}": obj
+        for name, mod in list(sys.modules.items())
+        if name == "pathmn" or name.startswith("pathmn.")
+        for attr, obj in vars(mod).items()
+        if hasattr(obj, "cache_info") and getattr(obj, "__module__", None) == name
+    }
+    assert set(memos) >= {
+        "pathmn.ribbons._skew_mn",
+        "pathmn.ribbons.tiling_tally",
+        "pathmn.symfunc._p_to_schur",
+        "pathmn.characters._atomic_from_type",
+        "pathmn.statistics.stat_product",
+        "pathmn.statistics.symmetrize",
+    }
+    assert all(m.cache_info().currsize for m in memos.values())
     clear_caches()
+    assert {k: m.cache_info().currsize for k, m in memos.items()} == dict.fromkeys(memos, 0)
     assert skew_mn((4, 3, 1), (3, 2, 2, 1)) == before

@@ -214,8 +214,8 @@ def test_json_round_trip():
 
 
 def test_huge_coefficients_under_the_default_digit_limit():
-    # s[2000] has coefficient 1996!, about 5700 digits. In-process CLI runs
-    # lift CPython's int<->str digit limit, so pin the default here.
+    # s[2000] has coefficient 1996!, about 5700 digits. Pin CPython's default
+    # int<->str digit limit, whatever the environment set.
     set_limit = getattr(sys, "set_int_max_str_digits", None)
     if set_limit is None:
         pytest.skip("this Python has no int<->str digit limit")
