@@ -24,8 +24,8 @@ from pathmn.partitions import (
     pad_row,
     partitions_of,
 )
-from pathmn.ribbons import memo, skew_mn, stable_expansion, tiling_tally
-from pathmn.symfunc import SymExpansion, _p_to_schur, mult_by_power
+from pathmn.ribbons import _stable_terms, memo, skew_mn, tiling_tally
+from pathmn.symfunc import SCHUR, SymExpansion, _p_to_schur, _ribbon_chains
 
 __all__ = [
     "atomic_schur",
@@ -44,14 +44,11 @@ def _atomic_from_type(mu, nu) -> SymExpansion:
     """Atomic expansion from the graph type alone (relabeling invariance).
 
     The path factor is evaluated through the frozen-tiling stable formula
-    (size-1 path parts are absorbed into the padding), then one ribbon
-    multiplication per cycle part, largest first.
+    (size-1 path parts are absorbed into the padding), then one ribbon of
+    each cycle part is added, largest first.
     """
-    core = tuple(p for p in mu if p >= 2)
-    f = stable_expansion(core, sum(mu))
-    for part in sorted(nu, reverse=True):
-        f = mult_by_power(f, part)
-    return f
+    path = _stable_terms(tuple(p for p in mu if p >= 2), sum(mu))
+    return SymExpansion(SCHUR, sum(mu) + sum(nu), _ribbon_chains(path, sorted(nu, reverse=True)))
 
 
 def atomic_schur(pp: PartialPermutation) -> SymExpansion:
@@ -118,11 +115,8 @@ def character_table(n: int) -> CharacterTable:
         raise ParseError(f"table size must be nonnegative, got {n}")
     check_guard(n, 20, "character table size n")
     shapes = tuple(canonical_order(partitions_of(n)))
-    entries = {}
-    for mu in shapes:
-        column = _p_to_schur(mu).terms
-        for lam in shapes:
-            entries[(lam, mu)] = int(column.get(lam, 0))
+    columns = {mu: _p_to_schur(mu, None) for mu in shapes}
+    entries = {(lam, mu): columns[mu].get(lam, 0) for mu in shapes for lam in shapes}
     return CharacterTable(n, shapes, entries)
 
 

@@ -2,8 +2,8 @@
 
 Commands: path-expand, p-expand, atomic, char, table, stat, oracle-check,
 bench. Results go to stdout, diagnostics to stderr. Exit codes: 0 success,
-1 stdout closed before the output was written, 2 parse failure, 3 guard
-refusal, 4 oracle mismatch.
+1 the output could not be completed (stdout closed, or an internal error),
+2 parse failure, 3 guard refusal, 4 oracle mismatch.
 """
 
 import argparse
@@ -118,6 +118,9 @@ def main(argv=None) -> int:
     except OracleMismatch as e:
         print(f"oracle mismatch: {e}", file=sys.stderr)
         return 4
+    except Exception as e:  # unforeseen: one line on stderr, no traceback
+        print(f"error: internal: {type(e).__name__}: {e}".replace("\n", " "), file=sys.stderr)
+        return 1
     finally:
         if set_digits is not None:
             set_digits(digits_before)

@@ -106,6 +106,8 @@ def skew_mn(outer, alpha, inner=()) -> int:
     The value does not depend on the order of alpha (tested); alpha is consumed
     left to right.
     """
+    from pathmn.symfunc import _ribbon_chains
+
     outer = check_partition(outer)
     inner = check_partition(inner)
     alpha = tuple(alpha)
@@ -116,18 +118,7 @@ def skew_mn(outer, alpha, inner=()) -> int:
         )
     if not contains(outer, inner):
         raise ParseError(f"{inner} not contained in {outer}")
-    return _skew_mn(outer, inner, alpha)
-
-
-@memo
-def _skew_mn(outer, inner, alpha) -> int:
-    if not alpha:
-        return 1 if outer == inner else 0
-    total = 0
-    for add in add_ribbons(inner, alpha[0]):
-        if contains(outer, add.result):
-            total += add.sign * _skew_mn(outer, add.result, alpha[1:])
-    return total
+    return _ribbon_chains({inner: 1}, alpha, outer).get(outer, 0)
 
 
 @dataclass(frozen=True)
@@ -300,7 +291,11 @@ def stable_expansion(mu, n: int):
     """
     from pathmn.symfunc import SCHUR, SymExpansion
 
-    mu = _check_stable_mu(mu, n)
+    return SymExpansion(SCHUR, n, _stable_terms(_check_stable_mu(mu, n), n))
+
+
+def _stable_terms(mu, n: int) -> dict:
+    """stable_expansion as {shape: int}, for a mu that passed _check_stable_mu."""
     ones = n - sum(mu)
     mults = multiplicities(mu)
     prefactor = mult_factorial(mu) * math.factorial(ones)
@@ -310,11 +305,9 @@ def stable_expansion(mu, n: int):
         tropical = ones + len(mu) - len(t0.type)
         parts = [ones - rho.get(1, 0)]
         parts += [mults[i] - rho.get(i, 0) for i in sorted(mults)]
-        shape0 = t0.shape
-        sigma = _extend_first_row(shape0, n)
-        coeff = t0.sign * multinomial(tropical, parts)
-        terms[sigma] = terms.get(sigma, 0) + coeff
-    return SymExpansion(SCHUR, n, {s: prefactor * c for s, c in terms.items() if c})
+        sigma = _extend_first_row(t0.shape, n)
+        terms[sigma] = terms.get(sigma, 0) + t0.sign * multinomial(tropical, parts)
+    return {s: prefactor * c for s, c in terms.items() if c}
 
 
 def _extend_first_row(shape, n):

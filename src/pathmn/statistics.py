@@ -12,13 +12,14 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from pathmn.characters import _atomic_from_type
 from pathmn.errors import ParseError, check_guard
 from pathmn.partial_perm import IndicatorTerm, PartialPermutation, decompose
 from pathmn.partitions import check_partition
-from pathmn.ribbons import memo, skew_mn
-from pathmn.symfunc import SCHUR, SymExpansion
+from pathmn.ribbons import memo
+from pathmn.symfunc import SCHUR, SymExpansion, _p_to_schur
 
 __all__ = [
     "Statistic",
@@ -170,7 +171,9 @@ def class_eval(cf: ClassFunction, mu) -> Fraction:
     mu = check_partition(tuple(sorted(mu, reverse=True)))
     if sum(mu) != cf.n:
         raise ParseError(f"|mu| = {sum(mu)} but the class function lives on S_{cf.n}")
-    return Fraction(sum(c * skew_mn(lam, mu) for lam, c in cf.schur.terms.items()))
+    # chains that end in the support stay inside its componentwise maximum
+    column = _p_to_schur(mu, tuple(map(max, zip_longest(*cf.schur.terms, fillvalue=0))))
+    return Fraction(sum(c * column.get(lam, 0) for lam, c in cf.schur.terms.items()))
 
 
 def variance_on_class(f: Statistic, mu) -> Fraction:

@@ -17,6 +17,7 @@ from pathmn.errors import ParseError, check_guard
 from pathmn.partitions import (
     check_composition,
     check_partition,
+    contains,
     enumerate_set_partitions,
     format_partition,
     mult_factorial,
@@ -39,7 +40,8 @@ POWER = "power"
 
 _SYMBOL = {SCHUR: "s", POWER: "p"}
 
-_MAX_PARTS = 400  # recursion depth grows with the parts: 491 stop p-expand, 987 path-expand
+_MAX_PARTS = 400  # recursion depth grows with the parts: 987 stop path-expand
+_MAX_DEGREE = 30  # p_{1^d} holds every partition of d: p-expand 1^30 ~1.5 s, 1^40 ~8 s
 
 # Unicode used by the human renderer: a middle dot between coefficient and
 # basis element, and a true minus sign between terms.
@@ -187,34 +189,45 @@ class SymExpansion:
             raise ParseError(f"malformed expansion object: {e}") from None
 
 
+def _ribbon_chains(terms, alpha, within=None) -> dict:
+    """Add one ribbon of each size in alpha, in order, to every shape of a
+    {shape: coefficient} dict, dropping zeros; with within given, keep only
+    shapes inside it (a chain only grows, so no chain ending inside is lost)."""
+    for r in alpha:
+        out = {}
+        for lam, c in terms.items():
+            for add in add_ribbons(lam, r):
+                if within is None or contains(within, add.result):
+                    out[add.result] = out.get(add.result, 0) + add.sign * c
+        terms = {lam: c for lam, c in out.items() if c}
+    return terms
+
+
 def mult_by_power(f: SymExpansion, r: int) -> SymExpansion:
     """Multiply a Schur-basis expansion by the power sum p_r (ribbon rule)."""
     if f.basis != SCHUR:
         raise ParseError("mult_by_power needs a Schur-basis expansion")
     if r < 1:
         raise ParseError(f"power-sum index must be >= 1, got {r}")
-    out = {}
-    for lam, c in f.terms.items():
-        for add in add_ribbons(lam, r):
-            out[add.result] = out.get(add.result, 0) + add.sign * c
-    return SymExpansion(SCHUR, f.degree + r, out)
+    return SymExpansion(SCHUR, f.degree + r, _ribbon_chains(f.terms, (r,)))
 
 
 @memo
-def _p_to_schur(mu) -> SymExpansion:
+def _p_to_schur(mu, within) -> dict:
+    """p_mu as {shape: int} on the shapes inside within (None: all shapes)."""
     if not mu:
-        return SymExpansion(SCHUR, 0, {(): Fraction(1)})
-    return mult_by_power(_p_to_schur(mu[1:]), mu[0])
+        return {(): 1}
+    return _ribbon_chains(_p_to_schur(mu[1:], within), mu[:1], within)
 
 
 def power_to_schur(f: SymExpansion) -> SymExpansion:
     """Rewrite a power-basis expansion in the Schur basis, term by term."""
     if f.basis != POWER:
         raise ParseError("power_to_schur needs a power-basis expansion")
+    check_guard(f.degree, _MAX_DEGREE, "power-sum degree")
     out = {}
     for mu, c in f.terms.items():
-        check_guard(len(mu), _MAX_PARTS, "number of parts")
-        for lam, v in _p_to_schur(tuple(sorted(mu, reverse=True))).terms.items():
+        for lam, v in _p_to_schur(tuple(sorted(mu, reverse=True)), None).items():
             out[lam] = out.get(lam, 0) + c * v
     return SymExpansion(SCHUR, f.degree, out)
 

@@ -5,16 +5,24 @@ from fractions import Fraction
 import pytest
 
 from pathmn import (
+    POWER,
     GuardError,
     ParseError,
     PartialPermutation,
+    SymExpansion,
     atomic_schur,
     char_eval,
     char_eval_direct,
     character_table,
+    clear_caches,
     coefficient_polynomiality,
+    decompose,
+    mult_by_power,
     partitions_of,
+    path_power_to_schur,
+    power_to_schur,
     skew_mn,
+    stable_expansion,
     support_check,
     syt_count,
     z_mu,
@@ -152,6 +160,40 @@ def test_character_table_csv():
         '"[2,1]",-1,0,2\n'
         '"[1,1,1]",1,-1,1\n'
     )
+
+
+def test_expansions_are_built_only_for_public_results(monkeypatch):
+    built = []
+    init = SymExpansion.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(SymExpansion, "__init__", counting)
+    clear_caches()
+    table = character_table(9)
+    assert built == []
+    assert all(type(v) is int for v in table.entries.values())
+    pp = PartialPermutation(6, (1, 2, 3, 4), (2, 1, 4, 5))  # a 2-cycle and a path
+    assert decompose(pp).cycle_type == (2,)
+    exp = atomic_schur(pp)
+    assert built == [exp]
+
+
+def test_public_coefficients_are_fractions():
+    pp = PartialPermutation(6, (1, 2, 3, 4), (2, 1, 4, 5))
+    results = [
+        atomic_schur(pp),
+        stable_expansion((2, 2), 7),
+        path_power_to_schur((3, 2, 1)),
+        power_to_schur(SymExpansion(POWER, 5, {(3, 1, 1): 1, (2, 2, 1): Fraction(1, 3)})),
+        mult_by_power(stable_expansion((2,), 4), 3),
+    ]
+    for exp in results:
+        assert exp.terms and all(type(c) is Fraction for c in exp.terms.values())
+    assert type(skew_mn((4, 3, 1), (3, 2, 2, 1))) is int
+    assert type(char_eval((3, 2, 1), pp)) is int
 
 
 def test_character_table_matches_skew_mn():

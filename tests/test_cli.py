@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import pathlib
 import subprocess
 import sys
 from decimal import Decimal
@@ -212,11 +213,32 @@ def test_guard_exit_code(capsys, monkeypatch):
 
 def test_part_count_guard(capsys):
     # one recursion level per part: past the guard these died with RecursionError
-    for argv in (["path-expand", "1^1200"], ["p-expand", "1^1000"]):
-        _, err = run_cli(capsys, argv, expect_rc=3)
-        assert err.startswith("refused: number of parts = ")
+    _, err = run_cli(capsys, ["path-expand", "1^1200"], expect_rc=3)
+    assert err.startswith("refused: number of parts = ")
+    _, err = run_cli(capsys, ["p-expand", "1^1000"], expect_rc=3)
+    assert err.startswith("refused: power-sum degree = ")
     out, _ = run_cli(capsys, ["path-expand", "1^400"])
     assert out == f"{math.factorial(400)}·s[400]\n"
+
+
+def test_power_sum_degree_guard(capsys):
+    # p_{1^d} expands into every partition of d: 1^40 takes about 8 s, 1^50 over a minute
+    for mu in ("1^31", "1^50", "31"):
+        _, err = run_cli(capsys, ["p-expand", mu], expect_rc=3)
+        assert err.startswith("refused: power-sum degree = ")
+    out, _ = run_cli(capsys, ["p-expand", "30"])
+    assert out.startswith("1·s[30] − 1·s[29,1] + ")
+
+
+@pytest.mark.parametrize("error", [RuntimeError("boom"), RecursionError("too deep")])
+def test_internal_error_is_one_line(capsys, monkeypatch, error):
+    def fail(pp):
+        raise error
+
+    monkeypatch.setattr("pathmn.characters.atomic_schur", fail)
+    _, err = run_cli(capsys, ["atomic", "--pp", "1 -> 2", "--n", "3"], expect_rc=1)
+    assert err == f"error: internal: {type(error).__name__}: {error}\n"
+    assert "Traceback" not in err
 
 
 def test_oracle_check(capsys):
@@ -272,6 +294,22 @@ def test_closed_stdout_exits_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
+
+
+def test_package_imports_only_the_standard_library():
+    src = pathlib.Path(pathmn.cli.__file__).parent
+    foreign = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in {"pathmn", *sys.stdlib_module_names}]
+    assert foreign == []
 
 
 def test_cli_reads_no_private_names_of_the_package():

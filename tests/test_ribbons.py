@@ -306,7 +306,6 @@ def test_clear_caches_is_safe():
         if hasattr(obj, "cache_info") and getattr(obj, "__module__", None) == name
     }
     assert set(memos) >= {
-        "pathmn.ribbons._skew_mn",
         "pathmn.ribbons.tiling_tally",
         "pathmn.symfunc._p_to_schur",
         "pathmn.characters._atomic_from_type",

@@ -212,6 +212,17 @@ def test_stat_product_builds_one_term_per_result(monkeypatch):
     assert merges == []
 
 
+@pytest.mark.parametrize("n", [30, 40])
+def test_exc_class_values_at_large_n(n):
+    # the mean of exc on a class is half its non-fixed points; bounded chains
+    # answer in milliseconds, where full columns would expand p_{1^n}
+    cf = symmetrize(builtin("exc", n))
+    for mu in [(1,) * n, (2,) * (n // 2), (n,), (n - 1, 1)]:
+        value = class_eval(cf, mu)
+        assert type(value) is Fraction
+        assert value == Fraction(n - mu.count(1), 2)
+
+
 def test_symmetrize_known_expansions():
     assert dict(symmetrize(builtin("exc", 6)).schur.items()) == {
         (6,): Fraction(5, 2),

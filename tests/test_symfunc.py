@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import sys
@@ -23,6 +24,8 @@ from pathmn import (
     power_to_schur,
     skew_mn,
 )
+from pathmn.partitions import contains
+from pathmn.symfunc import _p_to_schur
 
 
 def test_constructor_validation():
@@ -66,6 +69,22 @@ def test_render():
     lead = SymExpansion(POWER, 3, {(3,): -1, (2, 1): 1})
     assert lead.render(symbol="P") == "−1·P[3] + 1·P[2,1]"
     assert e.render(long=True) == "6·s[3]\n−4·s[2,1]"
+
+
+def test_bounded_columns_match_full_columns():
+    # a bounded column keeps exactly the shapes of the full one inside the bound
+    for n in range(9):
+        shapes = list(partitions_of(n))
+        unions = [
+            tuple(map(max, itertools.zip_longest(a, b, fillvalue=0)))
+            for a, b in zip(shapes, shapes[1:] + shapes[:1])
+        ]
+        for mu in shapes:
+            full = _p_to_schur(mu, None)
+            for bound in shapes + unions:
+                column = _p_to_schur(mu, bound)
+                assert column == {lam: v for lam, v in full.items() if contains(bound, lam)}
+                assert all(type(v) is int for v in column.values())
 
 
 def test_mult_by_power():
