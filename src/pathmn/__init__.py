@@ -34,14 +34,12 @@ from pathmn.partial_perm import (
     decompose,
     embed,
     format_pp,
-    indicator_product,
     local_dimension,
     pack,
     parse_pp,
     pp_from_graph_type,
 )
 from pathmn.partitions import (
-    SkewShape,
     canonical_order,
     check_composition,
     check_partition,
@@ -58,7 +56,6 @@ from pathmn.partitions import (
     parse_composition,
     parse_partition,
     partitions_of,
-    skew_shape,
     syt_count,
     z_mu,
 )

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Commands: path-expand, p-expand, atomic, char, table, stat, oracle-check,
-bench. Results go to stdout, diagnostics to stderr. Exit codes: 0 success,
+Commands: path-expand, p-expand, atomic, char, table, stat, oracle-check.
+Results go to stdout, diagnostics to stderr. Exit codes: 0 success,
 1 the output could not be completed (stdout closed, or an internal error),
 2 parse failure, 3 guard refusal, 4 oracle mismatch.
 """
@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from time import perf_counter
 
 from pathmn import characters, oracles, ribbons, statistics, symfunc
 from pathmn.errors import GuardError, OracleMismatch, ParseError
@@ -41,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--show-tilings",
         action="store_true",
-        help="also print an ASCII grid for every monotonic tiling",
+        help="also print an ASCII grid for every monotonic tiling (human format only)",
     )
     add_format(p)
 
@@ -82,11 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="cross-validate fast rules against oracles")
     p.add_argument("scope", choices=[*oracles.ORACLE_CHECKS, "all"])
     p.add_argument("--max-n", type=int, default=5)
-
-    p = sub.add_parser("bench", help="time the hybrid rule against the brute oracle")
-    p.add_argument("--pp", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--reps", type=int, default=3)
 
     return parser
 
@@ -146,6 +140,8 @@ def _print_expansion(exp: SymExpansion, args, symbol=None, basis_name=None):
 
 
 def _cmd_path_expand(args):
+    if args.show_tilings and args.format != "human":
+        raise ParseError(f"--show-tilings needs --format human, got {args.format}")
     mu = tuple(sorted(parse_composition(args.mu), reverse=True))
     _print_expansion(symfunc.path_power_to_schur(mu), args)
     if args.show_tilings:
@@ -244,33 +240,11 @@ def _cmd_stat(args):
 
 
 def _cmd_oracle_check(args):
+    if args.max_n < 0:
+        raise ParseError(f"--max-n must be >= 0, got {args.max_n}")
     scopes = list(oracles.ORACLE_CHECKS) if args.scope == "all" else [args.scope]
     for scope in scopes:
         print(f"{scope}: OK ({oracles.ORACLE_CHECKS[scope](args.max_n)} comparisons)")
-
-
-def _cmd_bench(args):
-    pp = parse_pp(args.pp, args.n)
-    reps = max(args.reps, 1)
-    hybrid_times = []
-    for _ in range(reps):
-        ribbons.clear_caches()
-        t0 = perf_counter()
-        characters.atomic_schur(pp)
-        hybrid_times.append(perf_counter() - t0)
-    hybrid = min(hybrid_times)
-    print(f"hybrid: {hybrid:.6f} s")
-    if args.n <= 9:
-        brute_times = []
-        for _ in range(reps):
-            t0 = perf_counter()
-            oracles.brute_atomic(pp)
-            brute_times.append(perf_counter() - t0)
-        brute = min(brute_times)
-        print(f"brute: {brute:.6f} s")
-        print(f"speedup: {brute / hybrid:.1f}x")
-    else:
-        print("brute: skipped (guard: n > 9)")
 
 
 _HANDLERS = {
@@ -281,7 +255,6 @@ _HANDLERS = {
     "table": _cmd_table,
     "stat": _cmd_stat,
     "oracle-check": _cmd_oracle_check,
-    "bench": _cmd_bench,
 }
 
 

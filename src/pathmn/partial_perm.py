@@ -21,7 +21,6 @@ __all__ = [
     "GraphType",
     "IndicatorTerm",
     "decompose",
-    "indicator_product",
     "pack",
     "embed",
     "local_dimension",
@@ -107,29 +106,6 @@ def decompose(pp: PartialPermutation) -> GraphType:
         tuple(sorted(paths, reverse=True)) + (1,) * isolated,
         tuple(sorted(cycles, reverse=True)),
     )
-
-
-def indicator_product(a: IndicatorTerm, b: IndicatorTerm) -> Optional[IndicatorTerm]:
-    """Pointwise product of indicator terms; None when the constraints clash.
-
-    Constraints merge unless some source is sent to two distinct targets or
-    some target receives two distinct sources.
-    """
-    if a.pp.n != b.pp.n:
-        raise ParseError(f"ambient sizes differ: {a.pp.n} vs {b.pp.n}")
-    fwd = dict(zip(a.pp.I, a.pp.J))
-    bwd = dict(zip(a.pp.J, a.pp.I))
-    for i, j in zip(b.pp.I, b.pp.J):
-        if fwd.get(i, j) != j or bwd.get(j, i) != i:
-            return None
-        fwd[i] = j
-        bwd[j] = i
-    pairs = sorted(fwd.items())
-    pp = PartialPermutation(a.pp.n, tuple(i for i, _ in pairs), tuple(j for _, j in pairs))
-    coeff = a.coeff * b.coeff
-    if coeff == 0:
-        return None
-    return IndicatorTerm(coeff, pp)
 
 
 def pack(pp: PartialPermutation):

@@ -12,7 +12,7 @@ comparison reversed.
 
 import math
 import re
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from pathmn.errors import ParseError, check_guard
 
@@ -31,8 +31,6 @@ __all__ = [
     "enumerate_set_partitions",
     "syt_count",
     "multinomial",
-    "SkewShape",
-    "skew_shape",
     "contains",
     "parse_partition",
     "parse_composition",
@@ -180,28 +178,11 @@ def multinomial(total: int, parts) -> int:
     return out
 
 
-class SkewShape(NamedTuple):
-    outer: tuple
-    inner: tuple
-
-    @property
-    def size(self) -> int:
-        return sum(self.outer) - sum(self.inner)
-
-
 def contains(outer, inner) -> bool:
     """Containment of Young diagrams (inner padded with zeros)."""
     if len(inner) > len(outer):
         return False
     return all(inner[i] <= outer[i] for i in range(len(inner)))
-
-
-def skew_shape(outer, inner) -> SkewShape:
-    outer = check_partition(outer)
-    inner = check_partition(inner)
-    if not contains(outer, inner):
-        raise ParseError(f"{inner} is not contained in {outer}")
-    return SkewShape(outer, inner)
 
 
 _TOKEN = re.compile(r"^(\d+)(?:\^(\d+))?$")

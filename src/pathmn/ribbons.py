@@ -300,7 +300,7 @@ def _stable_terms(mu, n: int) -> dict:
     mults = multiplicities(mu)
     prefactor = mult_factorial(mu) * math.factorial(ones)
     terms = {}
-    for t0 in frozen_set(mu, n):
+    for t0 in enumerate_monotonic(mu, min_tail_row=2, extra_ones=ones):
         rho = multiplicities(t0.type)
         tropical = ones + len(mu) - len(t0.type)
         parts = [ones - rho.get(1, 0)]

@@ -10,6 +10,22 @@ import itertools
 from fractions import Fraction
 
 
+def merge_pairs(a_pairs, b_pairs):
+    """Union of two sets of (i, j) constraints, sorted; None when they clash.
+
+    They clash when some source is sent to two targets or some target is
+    reached from two sources. a_pairs is assumed clash-free itself.
+    """
+    fwd = dict(a_pairs)
+    bwd = {j: i for i, j in a_pairs}
+    for i, j in b_pairs:
+        if fwd.get(i, j) != j or bwd.get(j, i) != i:
+            return None
+        fwd[i] = j
+        bwd[j] = i
+    return tuple(sorted(fwd.items()))
+
+
 def all_perms(n):
     """All of S_n as image tuples: w[i] is the image of i + 1."""
     return itertools.permutations(range(1, n + 1))

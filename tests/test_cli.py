@@ -61,6 +61,15 @@ def test_path_expand_show_tilings(capsys):
     assert "tiling 3: type=[2, 2] depth=[1, 1] sign=+\n 1* 1  2* 2" in out
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_show_tilings_is_human_format_only(capsys, fmt):
+    # the grids would follow the document and break its parsing
+    out, err = run_cli(capsys, ["path-expand", "2,1", "--show-tilings", "--format", fmt],
+                       expect_rc=2)
+    assert out == ""
+    assert err == f"error: --show-tilings needs --format human, got {fmt}\n"
+
+
 def test_path_expand_accepts_compositions(capsys):
     a, _ = run_cli(capsys, ["path-expand", "3,4"])
     b, _ = run_cli(capsys, ["path-expand", "4,3"])
@@ -252,21 +261,21 @@ def test_oracle_check(capsys):
     ]
 
 
+def test_oracle_check_refuses_negative_max_n(capsys):
+    out, err = run_cli(capsys, ["oracle-check", "atomic", "--max-n", "-3"], expect_rc=2)
+    assert out == ""
+    assert err == "error: --max-n must be >= 0, got -3\n"
+
+
+def test_bench_command_is_gone(capsys):
+    _, err = run_cli(capsys, ["bench", "--pp", "1,2 -> 2,3", "--n", "7"], expect_rc=2)
+    assert "invalid choice: 'bench'" in err
+
+
 def test_oracle_check_mismatch(capsys, monkeypatch):
     monkeypatch.setattr("pathmn.oracles.alternant_char", lambda lam, alpha: 999)
     _, err = run_cli(capsys, ["oracle-check", "alternant", "--max-n", "3"], expect_rc=4)
     assert err.startswith("oracle mismatch: alternant disagrees")
-
-
-def test_bench(capsys):
-    out, _ = run_cli(capsys, ["bench", "--pp", "1,2 -> 2,3", "--n", "7", "--reps", "1"])
-    lines = out.splitlines()
-    assert len(lines) == 3
-    assert lines[0].startswith("hybrid: ") and lines[0].endswith(" s")
-    assert lines[1].startswith("brute: ") and lines[1].endswith(" s")
-    assert lines[2].startswith("speedup: ") and lines[2].endswith("x")
-    out, _ = run_cli(capsys, ["bench", "--pp", "1,2 -> 2,3", "--n", "10", "--reps", "1"])
-    assert out.splitlines()[1] == "brute: skipped (guard: n > 9)"
 
 
 def test_module_entry_point():

@@ -2,19 +2,16 @@ import itertools
 import math
 import random
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
 from pathmn import (
     GraphType,
-    IndicatorTerm,
     ParseError,
     PartialPermutation,
     decompose,
     embed,
     format_pp,
-    indicator_product,
     local_dimension,
     pack,
     parse_pp,
@@ -118,48 +115,6 @@ def test_decompose_matches_union_find():
     assert decompose(PartialPermutation(9, (), ())) == ((1,) * 9, ())
     full = PartialPermutation(6, (1, 2, 3, 4, 5, 6), (2, 3, 1, 5, 4, 6))
     assert decompose(full) == ((), (3, 2, 1))
-
-
-def term(n, I, J, c=1):
-    return IndicatorTerm(Fraction(c), PartialPermutation(n, I, J))
-
-
-def test_indicator_product():
-    a = term(6, (1,), (2,))
-    b = term(6, (3,), (4,), c=3)
-    t = indicator_product(a, b)
-    assert t == IndicatorTerm(Fraction(3), PartialPermutation(6, (1, 3), (2, 4)))
-    # one source cannot go to two targets, one target cannot have two sources
-    assert indicator_product(a, term(6, (1,), (3,))) is None
-    assert indicator_product(a, term(6, (3,), (2,))) is None
-    # repeating a constraint is harmless
-    assert indicator_product(a, a).pp == a.pp
-    # zero coefficients drop out
-    assert indicator_product(a, term(6, (3,), (4,), c=0)) is None
-    with pytest.raises(ParseError):
-        indicator_product(a, term(5, (1,), (2,)))
-
-
-def test_indicator_product_commutes_and_associates():
-    rng = random.Random(11)
-
-    def as_canonical(t):
-        return None if t is None else (t.coeff, t.pp.canonical())
-
-    def small(rng):
-        k = rng.randrange(0, 4)
-        I = tuple(sorted(rng.sample(range(1, 7), k)))
-        J = tuple(rng.sample(range(1, 7), k))
-        return IndicatorTerm(Fraction(rng.randrange(1, 4)), PartialPermutation(6, I, J))
-
-    for _ in range(150):
-        a, b, c = small(rng), small(rng), small(rng)
-        ab = indicator_product(a, b)
-        assert as_canonical(ab) == as_canonical(indicator_product(b, a))
-        left = indicator_product(ab, c) if ab is not None else None
-        bc = indicator_product(b, c)
-        right = indicator_product(a, bc) if bc is not None else None
-        assert as_canonical(left) == as_canonical(right)
 
 
 def test_pack():

@@ -21,7 +21,6 @@ from pathmn import (
     parse_composition,
     parse_partition,
     partitions_of,
-    skew_shape,
     syt_count,
     z_mu,
 )
@@ -174,17 +173,6 @@ def test_contains():
     assert contains((4, 2), ())
     assert not contains((4, 2), (3, 3))
     assert not contains((2,), (1, 1))
-
-
-def test_skew_shape():
-    sk = skew_shape((4, 2), (2, 1))
-    assert sk.outer == (4, 2)
-    assert sk.inner == (2, 1)
-    assert sk.size == 3
-    with pytest.raises(ParseError):
-        skew_shape((2, 1), (3,))
-    with pytest.raises(ParseError):
-        skew_shape((2, 1), (1, 2))
 
 
 def test_parse_partition():
