@@ -24,7 +24,7 @@ from pathmn.partitions import (
     pad_row,
     partitions_of,
 )
-from pathmn.ribbons import _stable_terms, memo, skew_mn, tiling_tally
+from pathmn.ribbons import _mask, _shape, _stable_terms, memo, skew_mn, tiling_tally
 from pathmn.symfunc import SCHUR, SymExpansion, _p_to_schur, _ribbon_chains
 
 __all__ = [
@@ -48,7 +48,8 @@ def _atomic_from_type(mu, nu) -> SymExpansion:
     each cycle part is added, largest first.
     """
     path = _stable_terms(tuple(p for p in mu if p >= 2), sum(mu))
-    return SymExpansion(SCHUR, sum(mu) + sum(nu), _ribbon_chains(path, sorted(nu, reverse=True)))
+    terms = _ribbon_chains(path, sorted(nu, reverse=True))
+    return SymExpansion(SCHUR, sum(mu) + sum(nu), {_shape(m): c for m, c in terms.items()})
 
 
 def atomic_schur(pp: PartialPermutation) -> SymExpansion:
@@ -115,8 +116,9 @@ def character_table(n: int) -> CharacterTable:
         raise ParseError(f"table size must be nonnegative, got {n}")
     check_guard(n, 20, "character table size n")
     shapes = tuple(canonical_order(partitions_of(n)))
+    masks = {lam: _mask(lam) for lam in shapes}
     columns = {mu: _p_to_schur(mu, None) for mu in shapes}
-    entries = {(lam, mu): columns[mu].get(lam, 0) for mu in shapes for lam in shapes}
+    entries = {(lam, mu): columns[mu].get(masks[lam], 0) for mu in shapes for lam in shapes}
     return CharacterTable(n, shapes, entries)
 
 

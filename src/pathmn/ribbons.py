@@ -3,12 +3,12 @@
 A ribbon (rim hook) is an edgewise-connected skew shape with no 2x2 square;
 its tail is the southwesternmost cell and its sign is (-1)^(rows occupied - 1).
 
-Ribbon additions are generated with the exponent-vector criterion: with
-beta = lam + delta strictly decreasing, adding r to one entry either collides
-with another entry (no ribbon there) or, after re-sorting, yields the unique
-ribbon addition whose tail sits in the bumped row; the sign is the parity of
-the re-sort. This is also the kernel the alternant oracle uses, so the two are
-cross-checked in the test suite via an independent tableau-free route.
+Inside the package a shape is an int, its Maya diagram: lam with l parts has a
+bead at bit lam_i + l - i for each row i, so () is 0. Every ribbon addition is
+one abacus step, _ribbon_step: pad by r beads, move a bead from b to an empty
+b + r, strip the trailing beads. The tail row is 1 + the beads above b, the
+tail column 1 + the gaps below b, the sign the parity of the beads jumped.
+Public results are tuples; the alternant oracle stays on tuples, independent.
 """
 
 import math
@@ -17,6 +17,7 @@ from functools import cache, reduce
 
 from pathmn.errors import ParseError
 from pathmn.partitions import (
+    check_composition,
     check_partition,
     contains,
     mult_factorial,
@@ -66,37 +67,63 @@ class RibbonAddition:
     sign: int
 
 
+def _mask(lam) -> int:
+    """Maya mask of the partition lam."""
+    return sum(1 << (part + i) for i, part in enumerate(reversed(lam)))
+
+
+def _shape(m) -> tuple:
+    """The partition with Maya mask m, read bead by bead from the top."""
+    parts = []
+    while m:
+        b = m.bit_length() - 1
+        m ^= 1 << b
+        parts.append(b - m.bit_count())
+    return tuple(parts)
+
+
+def _inside(m, w) -> bool:
+    """Whether shape m lies inside shape w: with equal bead counts, each bead of
+    m sits at or below the bead of w with the same index."""
+    pad = w.bit_count() - m.bit_count()
+    if pad < 0:
+        return False
+    m <<= pad  # the pad beads of m sit at the bottom, below those of w
+    while m:
+        if m.bit_length() > w.bit_length():
+            return False
+        m ^= 1 << (m.bit_length() - 1)
+        w ^= 1 << (w.bit_length() - 1)
+    return True
+
+
+def _ribbon_step(m, r) -> list:
+    """Every r-ribbon addition to m, top bead first: (result mask, sign, tail row, tail col)."""
+    beads = m.bit_count() + r
+    p = (m << r) | ((1 << r) - 1)
+    free = p & ~(p >> r)  # beads b with position b + r empty
+    jumped = (1 << (r - 1)) - 1
+    out = []
+    while free:
+        b = free.bit_length() - 1
+        free ^= 1 << b
+        above = p >> (b + 1)
+        row = above.bit_count() + 1
+        q = p ^ (1 << b) ^ (1 << (b + r))
+        q >>= (q ^ (q + 1)).bit_length() - 1  # strip the empty rows
+        out.append((q, -1 if (above & jumped).bit_count() & 1 else 1, row, b + row + 1 - beads))
+    return out
+
+
 def add_ribbons(lam, r: int) -> list:
     """All partitions obtained from lam by adding one ribbon of size r."""
     if r < 1:
         raise ParseError(f"ribbon size must be >= 1, got {r}")
     lam = tuple(lam)
-    n_rows = len(lam) + r
-    beta = [(lam[i] if i < len(lam) else 0) + (n_rows - 1 - i) for i in range(n_rows)]
-    taken = set(beta)
-    out = []
-    for i, b in enumerate(beta):
-        new = b + r
-        if new in taken:
-            continue
-        gamma = sorted([new] + beta[:i] + beta[i + 1:], reverse=True)
-        pos = gamma.index(new)
-        nu = []
-        for j, g in enumerate(gamma):
-            part = g - (n_rows - 1 - j)
-            if part:
-                nu.append(part)
-        out.append(
-            RibbonAddition(
-                base=lam,
-                result=tuple(nu),
-                size=r,
-                tail_row=i + 1,
-                tail_col=(lam[i] if i < len(lam) else 0) + 1,
-                sign=-1 if (i - pos) % 2 else 1,
-            )
-        )
-    return out
+    return [
+        RibbonAddition(base=lam, result=_shape(q), size=r, tail_row=row, tail_col=col, sign=sign)
+        for q, sign, row, col in _ribbon_step(_mask(lam), r)
+    ]
 
 
 def skew_mn(outer, alpha, inner=()) -> int:
@@ -110,7 +137,7 @@ def skew_mn(outer, alpha, inner=()) -> int:
 
     outer = check_partition(outer)
     inner = check_partition(inner)
-    alpha = tuple(alpha)
+    alpha = check_composition(alpha)
     if sum(outer) - sum(inner) != sum(alpha):
         raise ParseError(
             f"size mismatch: |{outer}/{inner}| = {sum(outer) - sum(inner)}"
@@ -118,7 +145,8 @@ def skew_mn(outer, alpha, inner=()) -> int:
         )
     if not contains(outer, inner):
         raise ParseError(f"{inner} not contained in {outer}")
-    return _ribbon_chains({inner: 1}, alpha, outer).get(outer, 0)
+    outer = _mask(outer)
+    return _ribbon_chains({_mask(inner): 1}, alpha, outer).get(outer, 0)
 
 
 @dataclass(frozen=True)
@@ -165,49 +193,41 @@ def enumerate_monotonic(mu, min_tail_row: int = 1, extra_ones: int = 0):
     trailing singletons may be left unplaced).
     """
     mu = check_partition(tuple(sorted(mu, reverse=True)))
+    for steps, _ in _monotonic_walk(mu, min_tail_row, extra_ones):
+        masks, types, depths, cols, prefix = zip(*steps)
+        signs = tuple(a * b for a, b in zip(prefix, prefix[1:]))
+        yield MonotonicTiling(tuple(map(_shape, masks)), types[1:], depths[1:], cols[1:], signs)
+
+
+def _monotonic_walk(mu, min_tail_row, extra_ones):
+    """enumerate_monotonic on masks: yields the live list of steps (mask, size,
+    tail row, tail column, sign so far), root first, and the live dict of sizes
+    left to place; both change when the walk resumes."""
     remaining = multiplicities(mu)
     if extra_ones:
         remaining[1] = remaining.get(1, 0) + extra_ones
-    chain = [()]
-    types, depths, cols, signs = [], [], [], []
+    steps = [(0, 0, math.inf, 0, 1)]
 
-    def dfs(last_col, last_depth):
+    def dfs(left):
+        m, _, last_row, last_col, sign = steps[-1]
         # complete tilings, and in a frozen search every prefix (itself frozen)
-        if min_tail_row > 1 or not any(remaining.values()):
-            yield MonotonicTiling(
-                chain=tuple(chain),
-                type=tuple(types),
-                depth=tuple(depths),
-                tail_cols=tuple(cols),
-                signs=tuple(signs),
-            )
-            if not any(remaining.values()):
-                return
-        candidates = []
-        for size, count in remaining.items():
-            if not count:
-                continue
-            for add in add_ribbons(chain[-1], size):
-                if add.tail_col > last_col and add.tail_row <= last_depth \
-                        and add.tail_row >= min_tail_row:
-                    candidates.append(add)
-        candidates.sort(key=lambda a: (a.tail_col, a.size, a.result))
-        for add in candidates:
-            remaining[add.size] -= 1
-            chain.append(add.result)
-            types.append(add.size)
-            depths.append(add.tail_row)
-            cols.append(add.tail_col)
-            signs.append(add.sign)
-            yield from dfs(add.tail_col, add.tail_row)
-            remaining[add.size] += 1
-            chain.pop()
-            types.pop()
-            depths.pop()
-            cols.pop()
-            signs.pop()
+        if min_tail_row > 1 or not left:
+            yield steps, remaining
+        # a lower tail gives a smaller shape: this is (tail column, size, shape) order
+        candidates = sorted(
+            (col, size, -row, q, s * sign)
+            for size, count in remaining.items() if count
+            for q, s, row, col in _ribbon_step(m, size)
+            if col > last_col and min_tail_row <= row <= last_row
+        )
+        for col, size, row, q, s in candidates:
+            remaining[size] -= 1
+            steps.append((q, size, -row, col, s))
+            yield from dfs(left - 1)
+            steps.pop()
+            remaining[size] += 1
 
-    yield from dfs(0, float("inf"))
+    return dfs(sum(remaining.values()))
 
 
 def tiling_from_type_depth(alpha, depths):
@@ -216,31 +236,20 @@ def tiling_from_type_depth(alpha, depths):
     Reconstruction is forced: the i-th ribbon must be the (unique, if any)
     size alpha_i addition whose tail lands in row depths_i.
     """
-    alpha = tuple(alpha)
+    alpha = check_composition(alpha)
     depths = tuple(depths)
     if len(alpha) != len(depths):
         raise ParseError("type and depth sequences must have equal length")
     if any(depths[i] < depths[i + 1] for i in range(len(depths) - 1)):
         return None
-    chain = [()]
-    cols, signs = [], []
-    last_col = 0
+    steps = [(0, 1, 0, 0)]  # (mask, sign, tail row, tail column) from the empty shape
     for size, row in zip(alpha, depths):
-        match = [a for a in add_ribbons(chain[-1], size) if a.tail_row == row]
-        if not match or match[0].tail_col <= last_col:
+        match = [add for add in _ribbon_step(steps[-1][0], size) if add[2] == row]
+        if not match or match[0][3] <= steps[-1][3]:
             return None
-        add = match[0]
-        chain.append(add.result)
-        cols.append(add.tail_col)
-        signs.append(add.sign)
-        last_col = add.tail_col
-    return MonotonicTiling(
-        chain=tuple(chain),
-        type=alpha,
-        depth=depths,
-        tail_cols=tuple(cols),
-        signs=tuple(signs),
-    )
+        steps.append(match[0])
+    masks, signs, _, cols = zip(*steps)
+    return MonotonicTiling(tuple(map(_shape, masks)), alpha, depths, cols[1:], signs[1:])
 
 
 @memo
@@ -291,29 +300,28 @@ def stable_expansion(mu, n: int):
     """
     from pathmn.symfunc import SCHUR, SymExpansion
 
-    return SymExpansion(SCHUR, n, _stable_terms(_check_stable_mu(mu, n), n))
+    terms = _stable_terms(_check_stable_mu(mu, n), n)
+    return SymExpansion(SCHUR, n, {_shape(m): c for m, c in terms.items()})
 
 
 def _stable_terms(mu, n: int) -> dict:
-    """stable_expansion as {shape: int}, for a mu that passed _check_stable_mu."""
+    """stable_expansion as {mask: int}, for a mu that passed _check_stable_mu."""
     ones = n - sum(mu)
-    mults = multiplicities(mu)
     prefactor = mult_factorial(mu) * math.factorial(ones)
     terms = {}
-    for t0 in enumerate_monotonic(mu, min_tail_row=2, extra_ones=ones):
-        rho = multiplicities(t0.type)
-        tropical = ones + len(mu) - len(t0.type)
-        parts = [ones - rho.get(1, 0)]
-        parts += [mults[i] - rho.get(i, 0) for i in sorted(mults)]
-        sigma = _extend_first_row(t0.shape, n)
-        terms[sigma] = terms.get(sigma, 0) + t0.sign * multinomial(tropical, parts)
+    for steps, left in _monotonic_walk(mu, 2, ones):
+        m, sign = steps[-1][0], steps[-1][4]
+        # the unplaced ribbons are the tropical ones, all in row 1
+        sigma = _extend_first_row(m, sum(size * c for size, c in left.items()))
+        terms[sigma] = terms.get(sigma, 0) + sign * multinomial(sum(left.values()), left.values())
     return {s: prefactor * c for s, c in terms.items() if c}
 
 
-def _extend_first_row(shape, n):
-    if not shape:
-        return (n,) if n else ()
-    return (shape[0] + n - sum(shape),) + shape[1:]
+def _extend_first_row(m, cells):
+    if not m:
+        return 1 << cells if cells else 0
+    top = m.bit_length() - 1
+    return m ^ (1 << top) ^ (1 << (top + cells))
 
 
 def render_tiling(t: MonotonicTiling) -> str:

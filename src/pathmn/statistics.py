@@ -18,7 +18,7 @@ from pathmn.characters import _atomic_from_type
 from pathmn.errors import ParseError, check_guard
 from pathmn.partial_perm import IndicatorTerm, PartialPermutation, decompose
 from pathmn.partitions import check_partition
-from pathmn.ribbons import memo
+from pathmn.ribbons import _mask, memo
 from pathmn.symfunc import SCHUR, SymExpansion, _p_to_schur
 
 __all__ = [
@@ -172,8 +172,8 @@ def class_eval(cf: ClassFunction, mu) -> Fraction:
     if sum(mu) != cf.n:
         raise ParseError(f"|mu| = {sum(mu)} but the class function lives on S_{cf.n}")
     # chains that end in the support stay inside its componentwise maximum
-    column = _p_to_schur(mu, tuple(map(max, zip_longest(*cf.schur.terms, fillvalue=0))))
-    return Fraction(sum(c * column.get(lam, 0) for lam, c in cf.schur.terms.items()))
+    column = _p_to_schur(mu, _mask(tuple(map(max, zip_longest(*cf.schur.terms, fillvalue=0)))))
+    return Fraction(sum(c * column.get(_mask(lam), 0) for lam, c in cf.schur.terms.items()))
 
 
 def variance_on_class(f: Statistic, mu) -> Fraction:

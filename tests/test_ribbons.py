@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import sys
@@ -29,7 +30,8 @@ from pathmn import (
     tiling_from_type_depth,
     tiling_tally,
 )
-from brute import brute_skew_mn, is_ribbon, partitions_list, ribbon_sign, skew_cells
+from pathmn.ribbons import _inside, _mask, _ribbon_step, _shape
+from brute import brute_skew_mn, contains_, is_ribbon, partitions_list, ribbon_sign, skew_cells
 
 
 def test_add_ribbons_example():
@@ -78,6 +80,62 @@ def test_add_ribbons_complete():
                 if contains(nxt, lam) and is_ribbon(set(skew_cells(nxt, lam)))
             }
             assert {a.result for a in add_ribbons(lam, r)} == expect
+
+
+def test_ribbon_step_matches_cell_brute():
+    # (result, sign, tail row, tail col) of every r-ribbon on lam, from the cells alone
+    for n in range(10):
+        for lam in partitions_list(n):
+            for r in range(1, 7):
+                expect = set()
+                for nxt in partitions_list(n + r):
+                    cells = skew_cells(nxt, lam)
+                    if contains_(nxt, lam) and is_ribbon(cells):
+                        tail = max(cells, key=lambda rc: (rc[0], -rc[1]))
+                        expect.add((nxt, ribbon_sign(cells)) + tail)
+                got = [(_shape(q),) + tuple(rest) for q, *rest in _ribbon_step(_mask(lam), r)]
+                assert len(got) == len(expect)
+                assert set(got) == expect
+
+
+def test_mask_round_trip():
+    wide = [(1200,), (1199, 1), (1197, 2, 1), (1190, 4, 3, 3), (1201, 1, 1, 1, 1, 1)]
+    for lam in [mu for n in range(15) for mu in partitions_list(n)] + wide:
+        # bead i (1-based) of lam sits at bit lam_i + len(lam) - i
+        assert _mask(lam) == sum(1 << (p + len(lam) - i) for i, p in enumerate(lam, start=1))
+        assert _shape(_mask(lam)) == lam
+    assert _mask(()) == 0 and _shape(0) == ()
+
+
+def test_bead_containment_matches_contains():
+    shapes = [mu for n in range(9) for mu in partitions_list(n)]
+    for outer in shapes:
+        for inner in shapes:
+            assert _inside(_mask(inner), _mask(outer)) == contains_(outer, inner)
+
+
+def _tiling_digest(min_tail_row, extra_ones):
+    h = hashlib.sha256()
+    for n in range(9):
+        for mu in partitions_of(n):
+            for t in enumerate_monotonic(mu, min_tail_row=min_tail_row, extra_ones=extra_ones):
+                h.update(repr((t.chain, t.type, t.depth, t.tail_cols, t.signs)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "min_tail_row, extra_ones, digest",
+    [
+        (1, 0, "1b5d0a8209593b022be853c5a855879864f149401b87f4bccca9c25a33b43213"),
+        (2, 0, "7f668f0cf67e42a680fb62c74d107509e4fad9065e4bf405c83fec81c087ee1c"),
+        (2, 3, "6896c4ae552176491d94e5fa22a2b2ee2565cfb9b1f02a2b783384492bfb237b"),
+        (1, 2, "7e96c728d0c51010876b4ad0826097d90c6b0dce4da6c383223c225dc2750a88"),
+    ],
+    ids=["plain", "frozen", "frozen-extra-ones", "plain-extra-ones"],
+)
+def test_enumerate_monotonic_sequence_is_pinned(min_tail_row, extra_ones, digest):
+    # every tiling, in order, for all mu with |mu| <= 8, as the tuple-based walker gave them
+    assert _tiling_digest(min_tail_row, extra_ones) == digest
 
 
 def test_skew_mn_values():
