@@ -24,8 +24,8 @@ from pathmn.partitions import (
     pad_row,
     partitions_of,
 )
-from pathmn.ribbons import _mask, _shape, _stable_terms, memo, skew_mn, tiling_tally
-from pathmn.symfunc import SCHUR, SymExpansion, _p_to_schur, _ribbon_chains
+from pathmn.ribbons import _mask, _ribbon_chains, _shape, _stable_terms, memo, skew_mn, tiling_tally
+from pathmn.symfunc import SCHUR, SymExpansion, _p_to_schur
 
 __all__ = [
     "atomic_schur",

@@ -30,10 +30,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p, csv_ok=True):
-        choices = ["human", "json", "csv"] if csv_ok else ["human", "json"]
-        p.add_argument("--format", choices=choices, default="human")
-        p.add_argument("--long", action="store_true", help="one term per line (human format)")
+    def add_format(p, expansion=True):
+        p.add_argument("--format", choices=["human", "json", "csv"], default="human")
+        if expansion:
+            p.add_argument("--long", action="store_true", help="one term per line (human format)")
 
     p = sub.add_parser("path-expand", help="Schur expansion of a path power sum")
     p.add_argument("mu", help='ribbon sizes, e.g. "3,2,1" or "2^2 1^3" ("" for empty)')
@@ -66,11 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lam")
     p.add_argument("--pp", required=True)
     p.add_argument("--n", type=int, required=True)
-    add_format(p)
+    add_format(p, expansion=False)
 
     p = sub.add_parser("table", help="character table of S_n")
     p.add_argument("n", type=int)
-    add_format(p)
+    add_format(p, expansion=False)
 
     p = sub.add_parser("stat", help="symmetrize a statistic: print ch_n(R f^moment)")
     p.add_argument("stat", help='"exc", "maj", or a JSON statistic file')

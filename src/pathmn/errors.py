@@ -40,7 +40,11 @@ def check_guard(value, default_limit, what):
     """Raise GuardError if value exceeds the (possibly overridden) limit."""
     limit = effective_limit(default_limit)
     if value > limit:
-        raise GuardError(
-            f"{what} = {value} exceeds the guard limit {limit}"
-            " (set PATHMN_MAX_N to override)"
-        )
+        raise refusal(what, value, limit)
+
+
+def refusal(what, value, limit) -> GuardError:
+    """The GuardError for a value past a limit already read with effective_limit."""
+    return GuardError(
+        f"{what} = {value} exceeds the guard limit {limit} (set PATHMN_MAX_N to override)"
+    )

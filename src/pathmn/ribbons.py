@@ -9,13 +9,19 @@ one abacus step, _ribbon_step: pad by r beads, move a bead from b to an empty
 b + r, strip the trailing beads. The tail row is 1 + the beads above b, the
 tail column 1 + the gaps below b, the sign the parity of the beads jumped.
 Public results are tuples; the alternant oracle stays on tuples, independent.
+
+Two loops run on the step, each guarded by counting what it holds: the
+Murnaghan-Nakayama chain _ribbon_chains (power sums, cycle parts) refuses a
+step that leaves over _MAX_SHAPES shapes, and the tiling walk _monotonic_walk
+(path parts) refuses past _MAX_NODES nodes. PATHMN_MAX_N replaces both limits.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache, reduce
 
-from pathmn.errors import ParseError
+from pathmn.errors import ParseError, effective_limit, refusal
 from pathmn.partitions import (
     check_composition,
     check_partition,
@@ -40,6 +46,9 @@ __all__ = [
     "clear_caches",
 ]
 
+
+_MAX_SHAPES = 5604  # p(30), all of p_{1^30}: p-expand 1^30 takes 0.4 s, 1^40 (37338) 2.4 s
+_MAX_NODES = 100_000  # about 1.3 s of walking; the largest walk tested visits 417
 
 _MEMOS = []  # every memo in the package; this module sits below all that hold one
 
@@ -126,6 +135,24 @@ def add_ribbons(lam, r: int) -> list:
     ]
 
 
+def _ribbon_chains(terms, alpha, within=None) -> dict:
+    """Add one ribbon of each size in alpha, in order, to every shape of a
+    {mask: coefficient} dict, dropping zeros; with a mask within given, keep
+    only shapes inside it (a chain only grows, so no chain ending inside is lost).
+    Refused once a step leaves more than _MAX_SHAPES shapes."""
+    limit = effective_limit(_MAX_SHAPES)
+    for r in alpha:
+        out = {}
+        for m, c in terms.items():
+            for q, sign, _, _ in _ribbon_step(m, r):
+                if within is None or _inside(q, within):
+                    out[q] = out.get(q, 0) + sign * c
+        terms = {m: c for m, c in out.items() if c}
+        if len(terms) > limit:
+            raise refusal("ribbon chain shapes", len(terms), limit)
+    return terms
+
+
 def skew_mn(outer, alpha, inner=()) -> int:
     """Signed count of standard ribbon tableaux of shape outer/inner, sizes alpha.
 
@@ -133,8 +160,6 @@ def skew_mn(outer, alpha, inner=()) -> int:
     The value does not depend on the order of alpha (tested); alpha is consumed
     left to right.
     """
-    from pathmn.symfunc import _ribbon_chains
-
     outer = check_partition(outer)
     inner = check_partition(inner)
     alpha = check_composition(alpha)
@@ -202,13 +227,18 @@ def enumerate_monotonic(mu, min_tail_row: int = 1, extra_ones: int = 0):
 def _monotonic_walk(mu, min_tail_row, extra_ones):
     """enumerate_monotonic on masks: yields the live list of steps (mask, size,
     tail row, tail column, sign so far), root first, and the live dict of sizes
-    left to place; both change when the walk resumes."""
+    left to place; both change when the walk resumes. Refused past _MAX_NODES
+    nodes (calls of dfs)."""
     remaining = multiplicities(mu)
     if extra_ones:
         remaining[1] = remaining.get(1, 0) + extra_ones
     steps = [(0, 0, math.inf, 0, 1)]
+    limit = effective_limit(_MAX_NODES)
+    nodes = itertools.count(1)
 
     def dfs(left):
+        if next(nodes) > limit:
+            raise refusal("monotonic walk nodes", limit + 1, limit)
         m, _, last_row, last_col, sign = steps[-1]
         # complete tilings, and in a frozen search every prefix (itself frozen)
         if min_tail_row > 1 or not left:

@@ -19,7 +19,7 @@ from pathmn.errors import ParseError, check_guard
 from pathmn.partial_perm import IndicatorTerm, PartialPermutation, decompose
 from pathmn.partitions import check_partition
 from pathmn.ribbons import _mask, memo
-from pathmn.symfunc import SCHUR, SymExpansion, _p_to_schur
+from pathmn.symfunc import _MAX_PARTS, SCHUR, SymExpansion, _p_to_schur
 
 __all__ = [
     "Statistic",
@@ -171,6 +171,7 @@ def class_eval(cf: ClassFunction, mu) -> Fraction:
     mu = check_partition(tuple(sorted(mu, reverse=True)))
     if sum(mu) != cf.n:
         raise ParseError(f"|mu| = {sum(mu)} but the class function lives on S_{cf.n}")
+    check_guard(len(mu), _MAX_PARTS, "number of parts")
     # chains that end in the support stay inside its componentwise maximum
     column = _p_to_schur(mu, _mask(tuple(map(max, zip_longest(*cf.schur.terms, fillvalue=0)))))
     return Fraction(sum(c * column.get(_mask(lam), 0) for lam, c in cf.schur.terms.items()))

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 import pathlib
@@ -9,7 +10,7 @@ from decimal import Decimal
 import pytest
 
 import pathmn.cli
-from pathmn import SymExpansion, PartialPermutation, atomic_schur, builtin, stat_to_json
+from pathmn import SymExpansion, PartialPermutation, atomic_schur, builtin, clear_caches, stat_to_json
 from pathmn.cli import main
 
 A7_PP = "1,4,5,6,7 -> 2,5,6,4,7"
@@ -213,6 +214,14 @@ def test_usage_errors(capsys):
     assert "bad partition token 'a'" in err
 
 
+def test_long_only_where_an_expansion_is_printed(capsys):
+    for argv in (["table", "2"], ["char", "2", "--pp", "1 -> 2", "--n", "2"]):
+        _, err = run_cli(capsys, [*argv, "--long"], expect_rc=2)
+        assert "unrecognized arguments: --long" in err
+    out, _ = run_cli(capsys, ["stat", "exc", "--n", "6", "--long"])
+    assert out == "(5/2)·s[6]\n−(1/2)·s[5,1]\n"
+
+
 def test_guard_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("PATHMN_MAX_N", "3")
     _, err = run_cli(capsys, ["table", "4"], expect_rc=3)
@@ -225,16 +234,16 @@ def test_part_count_guard(capsys):
     _, err = run_cli(capsys, ["path-expand", "1^1200"], expect_rc=3)
     assert err.startswith("refused: number of parts = ")
     _, err = run_cli(capsys, ["p-expand", "1^1000"], expect_rc=3)
-    assert err.startswith("refused: power-sum degree = ")
+    assert err.startswith("refused: number of parts = ")
     out, _ = run_cli(capsys, ["path-expand", "1^400"])
     assert out == f"{math.factorial(400)}·s[400]\n"
 
 
 def test_power_sum_degree_guard(capsys):
     # p_{1^d} expands into every partition of d: 1^40 takes seconds, 1^50 over a minute
-    for mu in ("1^31", "1^50"):
+    for mu in ("1^31", "1^50", "2^200"):
         _, err = run_cli(capsys, ["p-expand", mu], expect_rc=3)
-        assert err.startswith("refused: power-sum degree = ")
+        assert err.startswith("refused: ribbon chain shapes = ")
     out, _ = run_cli(capsys, ["p-expand", "30"])
     assert out.startswith("1·s[30] − 1·s[29,1] + ")
     # a sum of hooks holds one shape per hook
@@ -245,7 +254,7 @@ def test_power_sum_degree_guard(capsys):
 def test_power_sum_guard_bounds_the_shapes(capsys):
     _, err = run_cli(capsys, ["p-expand", "1^31"], expect_rc=3)
     assert err == (
-        "refused: power-sum degree = 31: shape bound = 6842 exceeds the guard limit 5604"
+        "refused: ribbon chain shapes = 6842 exceeds the guard limit 5604"
         " (set PATHMN_MAX_N to override)\n"
     )
     # p_40 is the alternating sum of the 40 hooks
@@ -253,6 +262,73 @@ def test_power_sum_guard_bounds_the_shapes(capsys):
     assert [(t["partition"], t["num"]) for t in json.loads(out)["terms"]] == [
         ([40 - k] + [1] * k, str((-1) ** k)) for k in range(40)
     ]
+
+
+def paths_pp(parts):
+    """A partial permutation whose paths have the given sizes, on 1, 2, ..."""
+    I, J, v = [], [], 1
+    for k in parts:
+        I += range(v, v + k - 1)
+        J += range(v + 1, v + k)
+        v += k
+    return f"{','.join(map(str, I))} -> {','.join(map(str, J))}"
+
+
+SHAPES_31 = (
+    "refused: ribbon chain shapes = 6842 exceeds the guard limit 5604"
+    " (set PATHMN_MAX_N to override)\n"
+)
+NODES_100K = (
+    "refused: monotonic walk nodes = 100001 exceeds the guard limit 100000"
+    " (set PATHMN_MAX_N to override)\n"
+)
+
+
+def test_fixed_points_are_counted_in_the_chain(capsys, tmp_path):
+    # the cycle type 1^31 adds 31 single cells: the chain ends on all p(31) shapes
+    fixed = ",".join(map(str, range(1, 32)))
+    for cmd in (["atomic"], ["char", "31"]):
+        _, err = run_cli(capsys, [*cmd, "--pp", f"{fixed} -> {fixed}", "--n", "31"], expect_rc=3)
+        assert err == SHAPES_31
+    path = tmp_path / "fix31.json"
+    path.write_text(
+        json.dumps({"n": 31, "terms": [{"coeff": "1", "I": list(range(1, 32)), "J": list(range(1, 32))}]}),
+        encoding="utf-8",
+    )
+    _, err = run_cli(capsys, ["stat", str(path)], expect_rc=3)
+    assert err == SHAPES_31
+    # 30 fixed points: p_{1^30} = sum of f^lam s_lam over all 5604 shapes
+    fixed = ",".join(map(str, range(1, 31)))
+    out, _ = run_cli(capsys, ["atomic", "--pp", f"{fixed} -> {fixed}", "--n", "30", "--long"])
+    assert out.count("\n") == 5604
+    assert out.startswith("1·s[30]\n29·s[29,1]\n")
+    out, _ = run_cli(capsys, ["char", "29,1", "--pp", f"{fixed} -> {fixed}", "--n", "30"])
+    assert out == "29\n"
+
+
+def test_path_walks_are_counted(capsys):
+    _, err = run_cli(capsys, ["atomic", "--pp", paths_pp((7, 6, 5, 4, 3, 2)), "--n", "60"], expect_rc=3)
+    assert err == NODES_100K
+    _, err = run_cli(capsys, ["path-expand", "2^10,1^10"], expect_rc=3)
+    assert err == NODES_100K
+    # 29,876 nodes; the digest is of the output before the walk was counted
+    out, _ = run_cli(capsys, ["atomic", "--pp", paths_pp((6, 5, 4, 3, 2)), "--n", "60"])
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a6bbc9053adbcdb31ae2caf54a670c8dcf0df0f9800d2fc1b0afe39ed88cdbdd"
+    )
+
+
+def test_lowered_max_n_lowers_both_counts(capsys, monkeypatch):
+    monkeypatch.setenv("PATHMN_MAX_N", "41")
+    clear_caches()  # a memoized result is not counted again
+    # p_{1^10} holds p(10) = 42 shapes, p_{1^9} 30
+    _, err = run_cli(capsys, ["p-expand", "1^10"], expect_rc=3)
+    assert err == "refused: ribbon chain shapes = 42 exceeds the guard limit 41 (set PATHMN_MAX_N to override)\n"
+    run_cli(capsys, ["p-expand", "1^9"])
+    # the walk of 3,2,1 visits 39 nodes, that of 2^3,1^3 121
+    _, err = run_cli(capsys, ["path-expand", "2^3,1^3"], expect_rc=3)
+    assert err == "refused: monotonic walk nodes = 42 exceeds the guard limit 41 (set PATHMN_MAX_N to override)\n"
+    run_cli(capsys, ["path-expand", "3,2,1"])
 
 
 @pytest.mark.parametrize("error", [RuntimeError("boom"), RecursionError("too deep")])

@@ -318,6 +318,16 @@ def test_class_eval_closed_forms():
         class_eval(symmetrize(builtin("exc", 4)), (3, 2))
 
 
+def test_class_eval_part_count_guard():
+    # _p_to_schur recurses once per part: 500 parts died with RecursionError
+    def fixes_one(n):
+        return symmetrize(make_statistic(n, [IndicatorTerm(1, PartialPermutation(n, (1,), (1,)))]))
+
+    assert class_eval(fixes_one(400), (1,) * 400) == 1
+    with pytest.raises(GuardError, match="number of parts = 500 exceeds the guard limit 400"):
+        class_eval(fixes_one(500), (1,) * 500)
+
+
 def test_class_eval_exc_squared_closed_form():
     for n in range(1, 8):
         f = builtin("exc", n)

@@ -26,7 +26,7 @@ from pathmn import (
 )
 from pathmn.partitions import contains
 from pathmn.ribbons import _mask, _shape
-from pathmn.symfunc import _p_to_schur, _shape_bound
+from pathmn.symfunc import _p_to_schur
 
 
 def test_constructor_validation():
@@ -86,17 +86,6 @@ def test_bounded_columns_match_full_columns():
                 column = {_shape(m): v for m, v in _p_to_schur(mu, _mask(bound)).items()}
                 assert column == {lam: v for lam, v in full.items() if contains(bound, lam)}
                 assert all(type(v) is int for v in column.values())
-
-
-def test_shape_bound_covers_every_chain():
-    # _p_to_schur(mu) passes through the columns of every suffix of mu
-    for n in range(11):
-        for mu in partitions_of(n):
-            for k in range(len(mu)):
-                assert len(_p_to_schur(mu[k:], None)) <= _shape_bound(mu[k:], math.inf)
-    assert _shape_bound((31,), math.inf) == 31
-    assert _shape_bound((1,) * 30, math.inf) == 5604  # p(30)
-    assert _shape_bound((1,) * 31, math.inf) == 6842  # p(31)
 
 
 def test_mult_by_power():
