@@ -24,8 +24,8 @@ from pathmn.partitions import (
     pad_row,
     partitions_of,
 )
-from pathmn.ribbons import _mask, _ribbon_chains, _shape, _stable_terms, memo, skew_mn, tiling_tally
-from pathmn.symfunc import SCHUR, SymExpansion, _p_to_schur
+from pathmn.ribbons import _mask, _ribbon_chains, _stable_terms, memo, skew_mn, tiling_tally
+from pathmn.symfunc import SymExpansion, _p_to_schur
 
 __all__ = [
     "atomic_schur",
@@ -49,7 +49,7 @@ def _atomic_from_type(mu, nu) -> SymExpansion:
     """
     path = _stable_terms(tuple(p for p in mu if p >= 2), sum(mu))
     terms = _ribbon_chains(path, sorted(nu, reverse=True))
-    return SymExpansion(SCHUR, sum(mu) + sum(nu), {_shape(m): c for m, c in terms.items()})
+    return SymExpansion._from_masks(sum(mu) + sum(nu), terms)
 
 
 def atomic_schur(pp: PartialPermutation) -> SymExpansion:

@@ -132,8 +132,8 @@ def _print_expansion(exp: SymExpansion, args, symbol=None, basis_name=None):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["partition", "num", "den"])
-        for lam, c in exp.items():
-            writer.writerow([format_partition(lam), c.numerator, c.denominator])
+        for t in json.loads(exp.to_json())["terms"]:  # digits made once per expansion
+            writer.writerow([format_partition(t["partition"]), t["num"], t["den"]])
         sys.stdout.write(buf.getvalue())
     else:
         print(exp.render(long=args.long, symbol=symbol))

@@ -170,11 +170,16 @@ def syt_count(lam) -> int:
 
 
 def multinomial(total: int, parts) -> int:
-    """total! / prod(parts!); parts must sum to total."""
+    """total! / prod(parts!); parts must sum to total.
+
+    Built as a product of binomials over the running sum, so one huge part
+    (the unplaced singletons of a stable walk at large n) costs no factorial.
+    """
     assert total == sum(parts)
-    out = math.factorial(total)
+    out, seen = 1, 0
     for p in parts:
-        out //= math.factorial(p)
+        seen += p
+        out *= math.comb(seen, p)
     return out
 
 

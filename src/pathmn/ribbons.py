@@ -328,10 +328,9 @@ def stable_expansion(mu, n: int):
     row extended to total size n. Equals the direct tiling enumeration of the
     padded partition (tested), but costs O(frozen set) instead.
     """
-    from pathmn.symfunc import SCHUR, SymExpansion
+    from pathmn.symfunc import SymExpansion
 
-    terms = _stable_terms(_check_stable_mu(mu, n), n)
-    return SymExpansion(SCHUR, n, {_shape(m): c for m, c in terms.items()})
+    return SymExpansion._from_masks(n, _stable_terms(_check_stable_mu(mu, n), n))
 
 
 def _stable_terms(mu, n: int) -> dict:

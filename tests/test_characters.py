@@ -163,14 +163,20 @@ def test_character_table_csv():
 
 
 def test_expansions_are_built_only_for_public_results(monkeypatch):
+    # an expansion is built by the validating constructor or from masks
     built = []
-    init = SymExpansion.__init__
+    init, from_masks = SymExpansion.__init__, SymExpansion._from_masks.__func__
 
     def counting(self, *args):
         built.append(self)
         init(self, *args)
 
+    def counting_from_masks(cls, *args):
+        built.append(from_masks(cls, *args))
+        return built[-1]
+
     monkeypatch.setattr(SymExpansion, "__init__", counting)
+    monkeypatch.setattr(SymExpansion, "_from_masks", classmethod(counting_from_masks))
     clear_caches()
     table = character_table(9)
     assert built == []

@@ -168,6 +168,28 @@ def test_multinomial():
     assert multinomial(6, (3, 2, 1)) == 60
 
 
+def compositions(total):
+    """Every tuple of positive parts summing to total, in order."""
+    if total == 0:
+        yield ()
+    for first in range(1, total + 1):
+        for rest in compositions(total - first):
+            yield (first,) + rest
+
+
+def test_multinomial_matches_factorials():
+    for total in range(11):
+        for comp in compositions(total):
+            # the composition itself, and with a zero part in every position
+            for parts in [comp] + [comp[:i] + (0,) + comp[i:] for i in range(len(comp) + 1)]:
+                expected = math.factorial(total) // math.prod(map(math.factorial, parts))
+                assert multinomial(total, parts) == expected, parts
+    for parts in [(1197, 2, 1), (2, 1, 1197), (317, 3)]:
+        total = sum(parts)
+        expected = math.factorial(total) // math.prod(map(math.factorial, parts))
+        assert multinomial(total, parts) == expected
+
+
 def test_contains():
     assert contains((4, 2), (2, 1))
     assert contains((4, 2), ())

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -23,10 +24,12 @@ from pathmn import (
     path_power_to_schur,
     power_to_schur,
     skew_mn,
+    stable_expansion,
+    symfunc,
 )
 from pathmn.partitions import contains
-from pathmn.ribbons import _mask, _shape
-from pathmn.symfunc import _p_to_schur
+from pathmn.ribbons import _mask, _shape, _stable_terms
+from pathmn.symfunc import _SHARED_BITS, _int_text, _ints_text, _p_to_schur
 
 
 def test_constructor_validation():
@@ -257,3 +260,79 @@ def test_huge_coefficients_under_the_default_digit_limit():
             SymExpansion.from_json(text.replace(top["num"], top["num"][:-1] + "x"))
     finally:
         set_limit(old)
+
+
+def test_ints_text_matches_each_value():
+    shared = math.factorial(1150)  # 3023 digits
+    assert shared.bit_length() >= _SHARED_BITS
+    cases = [
+        [],
+        [7],
+        [-shared],
+        [2**64 + 1, 3**50, -7, 0],
+        [shared * c for c in (1, -3, 0, 10**50, -(10**40 + 1), 7**600, 12345)],
+    ]
+    for values in cases:
+        assert _ints_text(values) == [_int_text(v) for v in values]
+
+
+def test_ints_text_past_the_digit_limit():
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        pytest.skip("this Python has no int<->str digit limit")
+    old = sys.get_int_max_str_digits()
+    set_limit(4300)
+    try:
+        shared = math.factorial(2000)  # 5736 digits
+        values = [shared * c for c in (1, -2, 10**30, 3**2000)]
+        with pytest.raises(ValueError):
+            str(values[0])
+        assert _ints_text(values) == [_int_text(v) for v in values]
+    finally:
+        set_limit(old)
+
+
+def test_render_and_json_convert_the_common_factor_once(monkeypatch):
+    big = atomic_schur(parse_pp("1,2,4,5,7 -> 2,3,5,6,8", 1200))
+    assert any(c < 0 for c in big.terms.values())
+    exps = [big, big.scale(Fraction(1, 3)), big.scale(-1)]
+    assert math.gcd(*(c.numerator for c in exps[1].terms.values())).bit_length() >= _SHARED_BITS
+    shared = [(e.render(), e.render(long=True), e.to_json()) for e in exps]
+    # the same text, every value converted on its own
+    monkeypatch.setattr(symfunc, "_SHARED_BITS", math.inf)
+    assert shared == [(e.render(), e.render(long=True), e.to_json()) for e in exps]
+
+
+@pytest.mark.parametrize(
+    "make, render_sha, json_sha",
+    [
+        (
+            lambda: atomic_schur(parse_pp("1,2,3,4,5,6 -> 2,3,4,5,6,1", 1200)),
+            "f0d1b9d324c349e146f6f4b50c1a936bf032760d2dc5bb04beeec0d74601d532",
+            "1a7ec69d538061986025fee8ab3eb3c3a25c21afe34daa9726ca8ed57bde30f9",
+        ),
+        (
+            lambda: atomic_schur(parse_pp("1,2,4,5,7 -> 2,3,5,6,8", 1200)),
+            "d73439f593772f6f186fbe1b79be9b86805cb00cdaf834fc864d559d155dcfc5",
+            "1a2e74ae20a931031956944ca7163dd7fc4b7cc65264ffa38016b35e4f1a3ad4",
+        ),
+        (
+            lambda: stable_expansion((3, 2, 2), 1200),
+            "6997341ec83830a8662d28d59cc43943dd5051a79f9076b33f039ef387248cc8",
+            "053b7c8fb980562027f86a5a43e24ac854c7967d89bb3c978c5d2869f81d5fa2",
+        ),
+    ],
+)
+def test_large_expansions_print_pinned_text(make, render_sha, json_sha):
+    e = make()
+    assert hashlib.sha256(e.render().encode()).hexdigest() == render_sha
+    assert hashlib.sha256(e.to_json().encode()).hexdigest() == json_sha
+
+
+@pytest.mark.parametrize("n", [12, 50])
+def test_expansions_from_masks_equal_validated_ones(n):
+    for mu in [mu for size in range(9) for mu in partitions_of(size) if 1 not in mu]:
+        terms = _stable_terms(mu, n)
+        trusted = stable_expansion(mu, n)
+        assert trusted == SymExpansion(SCHUR, n, {_shape(m): c for m, c in terms.items()})
+        assert all(type(c) is Fraction for c in trusted.terms.values())
