@@ -40,23 +40,21 @@ __all__ = [
 
 
 @memo
-def _atomic_from_type(mu, nu) -> SymExpansion:
-    """Atomic expansion from the graph type alone (relabeling invariance).
+def _atomic_from_type(mu, nu) -> dict:
+    """Atomic expansion {mask: int} from the graph type alone (relabeling invariance).
 
     The path factor is evaluated through the frozen-tiling stable formula
     (size-1 path parts are absorbed into the padding), then one ribbon of
     each cycle part is added, largest first.
     """
     path = _stable_terms(tuple(p for p in mu if p >= 2), sum(mu))
-    terms = _ribbon_chains(path, sorted(nu, reverse=True))
-    return SymExpansion._from_masks(sum(mu) + sum(nu), terms)
+    return _ribbon_chains(path, sorted(nu, reverse=True))
 
 
 def atomic_schur(pp: PartialPermutation) -> SymExpansion:
     """Schur expansion of the atomic function A_{n,I,J}; coefficients are the
     character values chi^lam([I,J])."""
-    gt = decompose(pp)
-    return _atomic_from_type(gt.path_type, gt.cycle_type)
+    return SymExpansion._from_masks(pp.n, _atomic_from_type(*decompose(pp)))
 
 
 def char_eval(lam, pp: PartialPermutation) -> int:
@@ -64,10 +62,7 @@ def char_eval(lam, pp: PartialPermutation) -> int:
     lam = check_partition(lam)
     if sum(lam) != pp.n:
         raise ParseError(f"|lam| = {sum(lam)} but ambient size is {pp.n}")
-    c = atomic_schur(pp).coeff(lam)
-    if c.denominator != 1:
-        raise AssertionError(f"non-integer character value {c} at {lam}")
-    return int(c)
+    return _atomic_from_type(*decompose(pp)).get(_mask(lam), 0)
 
 
 def char_eval_direct(lam, pp: PartialPermutation) -> int:

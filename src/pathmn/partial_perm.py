@@ -76,17 +76,22 @@ class IndicatorTerm:
 
 
 def decompose(pp: PartialPermutation) -> GraphType:
-    """Path and cycle type of the functional graph of (I, J).
+    """Path and cycle type of the functional graph of (I, J)."""
+    return _graph_type(pp.n, pp.pairs())
+
+
+def _graph_type(n: int, pairs) -> GraphType:
+    """Path and cycle type of the edges i -> j of a tuple of injective pairs on [n].
 
     Only the vertices of I u J are walked: paths from their unique source (a
     vertex of I outside J), then cycles. The n - |I u J| isolated vertices
     are the size-1 paths.
     """
-    succ = dict(zip(pp.I, pp.J))
-    targets = set(pp.J)
-    isolated = pp.n - len(targets.union(pp.I))
+    succ = dict(pairs)
+    targets = set(succ.values())
+    isolated = n - len(targets.union(succ))
     paths = []
-    for v in pp.I:
+    for v, _ in pairs:
         if v in targets:
             continue
         size = 1

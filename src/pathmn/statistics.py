@@ -1,25 +1,26 @@
 """Permutation statistics as indicator combinations, and their symmetrization.
 
-A statistic on S_n is stored as a merged list of weighted indicators
-c·1_{I,J}; the Reynolds operator (average over conjugation) sends it to a
-class function, computed here via the atomic expansions of the underlying
-partial permutations grouped by graph type. Moments and variances on a
-conjugacy class follow by evaluating the resulting Schur coefficients against
-character values.
+A statistic on S_n is a merged sum of weighted indicators c·1_{I,J}, kept as
+integer numerators over one denominator; the Reynolds operator (average over
+conjugation) sends it to a class function, computed here via the atomic
+expansions of the underlying partial permutations grouped by graph type.
+Moments and variances on a conjugacy class follow by evaluating the resulting
+Schur coefficients against character values.
 """
 
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import combinations, zip_longest
 
 from pathmn.characters import _atomic_from_type
 from pathmn.errors import ParseError, check_guard
-from pathmn.partial_perm import IndicatorTerm, PartialPermutation, decompose
+# decompose is unused here but stays bound: perfbench's tracer test looks for it
+from pathmn.partial_perm import IndicatorTerm, PartialPermutation, _graph_type, decompose
 from pathmn.partitions import check_partition
 from pathmn.ribbons import _mask, memo
-from pathmn.symfunc import _MAX_PARTS, SCHUR, SymExpansion, _p_to_schur
+from pathmn.symfunc import _MAX_PARTS, SymExpansion, _int_text, _p_to_schur, _text_int
 
 __all__ = [
     "Statistic",
@@ -38,10 +39,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Statistic:
-    """Finite combination sum c·1_{I,J} of indicators on S_n, like terms merged."""
+    """Finite combination sum (num/den)·1_{I,J} of indicators on S_n.
+
+    nums holds one (pairs, num) per term: the (i, j) constraints sorted by i
+    and a nonzero int. The terms are sorted and den is in lowest terms with
+    them, so equal statistics are == and hash the same.
+    """
 
     n: int
-    terms: tuple  # IndicatorTerm, sorted by (k, I, J), no zero coefficients
+    den: int
+    nums: tuple
+
+    @property
+    def terms(self) -> tuple:
+        """The IndicatorTerms, sorted by (k, I, J)."""
+        rows = sorted((len(p), [i for i, _ in p], [j for _, j in p], c) for p, c in self.nums)
+        return tuple(IndicatorTerm(Fraction(c, self.den), PartialPermutation(self.n, I, J))
+                     for _, I, J, c in rows)
 
 
 @dataclass(frozen=True)
@@ -52,18 +66,21 @@ class ClassFunction:
     schur: SymExpansion
 
 
+def _statistic(n: int, den: int, acc) -> Statistic:
+    """sum (num/den)·1_pairs over a {pairs: num} dict, zeros dropped, reduced."""
+    g = math.gcd(den, *acc.values())
+    return Statistic(n, den // g, tuple(sorted((p, c // g) for p, c in acc.items() if c)))
+
+
 def make_statistic(n: int, terms) -> Statistic:
     merged = {}
     for t in terms:
         if t.pp.n != n:
             raise ParseError(f"term on ambient size {t.pp.n}, expected {n}")
-        merged[t.pp] = merged.get(t.pp, 0) + Fraction(t.coeff)
-    return _sorted_statistic(n, [IndicatorTerm(c, pp) for pp, c in merged.items() if c])
-
-
-def _sorted_statistic(n: int, kept) -> Statistic:
-    kept.sort(key=lambda t: (t.pp.k, t.pp.I, t.pp.J))
-    return Statistic(n, tuple(kept))
+        pairs = tuple(sorted(zip(t.pp.I, t.pp.J)))
+        merged[pairs] = merged.get(pairs, 0) + Fraction(t.coeff)
+    den = math.lcm(*(c.denominator for c in merged.values()))
+    return _statistic(n, den, {p: c.numerator * (den // c.denominator) for p, c in merged.items()})
 
 
 def builtin(name: str, n: int) -> Statistic:
@@ -74,27 +91,14 @@ def builtin(name: str, n: int) -> Statistic:
     """
     if n < 1:
         raise ParseError(f"ambient size must be >= 1, got {n}")
-    terms = []
+    values = list(combinations(range(1, n + 1), 2))  # every j < k
     if name == "exc":
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                terms.append(IndicatorTerm(Fraction(1), PartialPermutation(n, (i,), (j,))))
+        acc = {((j, k),): 1 for j, k in values}
     elif name == "maj":
-        for i in range(1, n):
-            for j in range(1, n + 1):
-                for k in range(j + 1, n + 1):
-                    terms.append(
-                        IndicatorTerm(Fraction(i), PartialPermutation(n, (i, i + 1), (k, j)))
-                    )
+        acc = {((i, k), (i + 1, j)): i for i in range(1, n) for j, k in values}
     else:
         raise ParseError(f"unknown builtin statistic {name!r}")
-    return make_statistic(n, terms)
-
-
-def _scaled_numerators(terms):
-    """The lcm d of the coefficient denominators, and each coefficient times d."""
-    den = math.lcm(*(t.coeff.denominator for t in terms))
-    return den, [t.coeff.numerator * (den // t.coeff.denominator) for t in terms]
+    return _statistic(n, 1, acc)
 
 
 @memo
@@ -103,22 +107,17 @@ def stat_product(f: Statistic, g: Statistic) -> Statistic:
 
     Each term of f is turned into forward and backward constraint maps once;
     a term of g is injective on its own, so it merges unless one of its pairs
-    clashes with those maps. Coefficients add up as integers over the common
-    denominator, and only the distinct nonzero products become validated terms.
+    clashes with those maps. Numerators add up over the product of the
+    denominators, keyed by the sorted merged pairs.
     """
     if f.n != g.n:
         raise ParseError(f"ambient sizes differ: {f.n} vs {g.n}")
     check_guard(f.n, 12, "statistic product ambient size n")
-    f_den, f_nums = _scaled_numerators(f.terms)
-    g_den, g_nums = _scaled_numerators(g.terms)
-    g_items = [(t.pp.pairs(), cb) for t, cb in zip(g.terms, g_nums)]
     acc = {}
-    for a, ca in zip(f.terms, f_nums):
-        fwd = dict(zip(a.pp.I, a.pp.J))
-        bwd = dict(zip(a.pp.J, a.pp.I))
-        a_pairs = sorted(fwd.items())
-        a_key = tuple(a_pairs)
-        for b_pairs, cb in g_items:
+    for a_pairs, ca in f.nums:
+        fwd = dict(a_pairs)
+        bwd = {j: i for i, j in a_pairs}
+        for b_pairs, cb in g.nums:
             new = []
             for i, j in b_pairs:
                 target = fwd.get(i)
@@ -129,18 +128,9 @@ def stat_product(f: Statistic, g: Statistic) -> Statistic:
                 elif target != j:
                     break
             else:
-                key = tuple(sorted(a_pairs + new)) if new else a_key
+                key = tuple(sorted(a_pairs + tuple(new))) if new else a_pairs
                 acc[key] = acc.get(key, 0) + ca * cb
-    den = f_den * g_den
-    kept = [
-        IndicatorTerm(
-            Fraction(c, den),
-            PartialPermutation(f.n, tuple(i for i, _ in key), tuple(j for _, j in key)),
-        )
-        for key, c in acc.items()
-        if c
-    ]
-    return _sorted_statistic(f.n, kept)
+    return _statistic(f.n, f.den * g.den, acc)
 
 
 @memo
@@ -149,21 +139,20 @@ def symmetrize(f: Statistic) -> ClassFunction:
 
     Indicators with the same path and cycle type have identical atomic
     expansions, so the Reynolds average costs one expansion per class, divided
-    by n! at the end.
+    by den·n! at the end.
     """
-    den, nums = _scaled_numerators(f.terms)
     groups = {}
-    for t, c in zip(f.terms, nums):
-        gt = decompose(t.pp)
+    for pairs, c in f.nums:
+        gt = _graph_type(f.n, pairs)
         groups[gt] = groups.get(gt, 0) + c
     acc = {}
     for gt, c in groups.items():
-        if not c:
-            continue
-        for lam, v in _atomic_from_type(gt.path_type, gt.cycle_type).terms.items():
-            acc[lam] = acc.get(lam, 0) + c * v
-    scale = Fraction(1, den * math.factorial(f.n))
-    return ClassFunction(f.n, SymExpansion(SCHUR, f.n, {lam: v * scale for lam, v in acc.items()}))
+        if c:
+            for m, v in _atomic_from_type(*gt).items():
+                acc[m] = acc.get(m, 0) + c * v
+    scale = f.den * math.factorial(f.n)
+    terms = {m: Fraction(v, scale) for m, v in acc.items() if v}
+    return ClassFunction(f.n, SymExpansion._from_masks(f.n, terms))
 
 
 def class_eval(cf: ClassFunction, mu) -> Fraction:
@@ -189,11 +178,8 @@ def eval_pointwise(f: Statistic, w) -> Fraction:
     w = tuple(w)
     if sorted(w) != list(range(1, f.n + 1)):
         raise ParseError(f"not a permutation of 1..{f.n}: {w}")
-    total = Fraction(0)
-    for t in f.terms:
-        if all(w[i - 1] == j for i, j in t.pp.pairs()):
-            total += t.coeff
-    return total
+    hits = sum(c for pairs, c in f.nums if all(w[i - 1] == j for i, j in pairs))
+    return Fraction(hits, f.den)
 
 
 def stat_to_json(f: Statistic) -> str:
@@ -202,7 +188,7 @@ def stat_to_json(f: Statistic) -> str:
             "n": f.n,
             "terms": [
                 {
-                    "coeff": f"{t.coeff.numerator}/{t.coeff.denominator}",
+                    "coeff": f"{_int_text(t.coeff.numerator)}/{_int_text(t.coeff.denominator)}",
                     "I": list(t.pp.I),
                     "J": list(t.pp.J),
                 }
@@ -214,14 +200,14 @@ def stat_to_json(f: Statistic) -> str:
 
 def stat_from_json(text: str) -> Statistic:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=str)  # a number past the digit limit parses too
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from None
     try:
         n = int(data["n"])
         terms = [
             IndicatorTerm(
-                Fraction(str(t["coeff"])),
+                _text_fraction(str(t["coeff"])),
                 PartialPermutation(n, tuple(int(v) for v in t["I"]), tuple(int(v) for v in t["J"])),
             )
             for t in data["terms"]
@@ -229,3 +215,14 @@ def stat_from_json(text: str) -> Statistic:
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise ParseError(f"malformed statistic object: {e}") from None
     return make_statistic(n, terms)
+
+
+def _text_fraction(text: str) -> Fraction:
+    """Fraction(text), also for "num/den" past the digit limit."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        num, slash, den = text.partition("/")
+        if slash and not den.strip().isdecimal():
+            raise
+        return Fraction(_text_int(num), _text_int(den or "1"))

@@ -1,10 +1,13 @@
+import hashlib
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import pathmn.statistics
 from pathmn import (
     GuardError,
     IndicatorTerm,
@@ -12,6 +15,7 @@ from pathmn import (
     PartialPermutation,
     builtin,
     class_eval,
+    clear_caches,
     decompose,
     eval_pointwise,
     make_statistic,
@@ -65,12 +69,17 @@ def test_builtin_degenerate_and_errors():
 
 
 def test_pointwise_matches_brute():
+    rng = random.Random(5)
     for n in range(1, 7):
         exc = builtin("exc", n)
         maj = builtin("maj", n)
+        terms = random_terms(rng, n, 12)
+        rand = make_statistic(n, terms)
         for w in all_perms(n):
             assert eval_pointwise(exc, w) == exc_of(w)
             assert eval_pointwise(maj, w) == maj_of(w)
+            hits = [t.coeff for t in terms if all(w[i - 1] == j for i, j in t.pp.pairs())]
+            assert eval_pointwise(rand, w) == sum(hits, Fraction(0))
 
 
 def test_eval_pointwise_validation():
@@ -93,6 +102,45 @@ def test_make_statistic_merges_terms():
         4, [IndicatorTerm(Fraction(2), pp), IndicatorTerm(Fraction(-2), pp)]
     )
     assert g.terms == ()
+    assert (f.den, g.den) == (6, 1)
+
+
+def term(n, c, I, J):
+    return IndicatorTerm(Fraction(c), PartialPermutation(n, I, J))
+
+
+@pytest.mark.parametrize(
+    "terms, same, den",
+    [
+        # a term's pairs listed in another order
+        (
+            [term(6, 2, (4, 1, 6), (2, 5, 1))],
+            [term(6, 2, (1, 4, 6), (5, 2, 1)), term(6, 0, (3,), (3,))],
+            1,
+        ),
+        (
+            [term(6, Fraction(1, 3), (2, 4), (4, 1)), term(6, -1, (5,), (5,))],
+            [term(6, -1, (5,), (5,)), term(6, Fraction(1, 3), (4, 2), (1, 4))],
+            3,
+        ),
+        # den in lowest terms: 1/2 + 1/2 and 1/6 + 1/3
+        ([term(4, Fraction(1, 2), (1,), (2,))] * 2, [term(4, 1, (1,), (2,))], 1),
+        (
+            [term(4, Fraction(1, 6), (1, 2), (2, 1)), term(4, Fraction(1, 3), (2, 1), (1, 2))],
+            [term(4, Fraction(1, 2), (1, 2), (2, 1))],
+            2,
+        ),
+    ],
+    ids=["pair-order", "pair-and-term-order", "half-plus-half", "sixth-plus-third"],
+)
+def test_equal_statistics_are_equal(terms, same, den):
+    f, g = make_statistic(terms[0].pp.n, terms), make_statistic(terms[0].pp.n, same)
+    assert f == g and hash(f) == hash(g)
+    assert f.den == den
+    assert math.gcd(f.den, *(c for _, c in f.nums)) == 1
+    assert all(pairs == tuple(sorted(pairs)) for pairs, _ in f.nums)
+    assert [t.pp.I for t in f.terms] == [tuple(sorted(t.pp.I)) for t in f.terms]
+    assert symmetrize(f) == symmetrize(g)
 
 
 def test_stat_product_census():
@@ -130,16 +178,16 @@ def test_stat_product_identity_and_errors():
         stat_product(builtin("exc", 13), builtin("exc", 13))
 
 
-def pairwise_product(f, g):
-    """Reference product: one merge_pairs per pair of terms."""
+def pairwise_product(n, f_terms, g_terms):
+    """Reference product of two lists of terms: one merge_pairs per pair."""
     terms = []
-    for a in f.terms:
-        for b in g.terms:
+    for a in f_terms:
+        for b in g_terms:
             pairs = merge_pairs(a.pp.pairs(), b.pp.pairs())
             if pairs is not None:
-                pp = PartialPermutation(f.n, [i for i, _ in pairs], [j for _, j in pairs])
+                pp = PartialPermutation(n, [i for i, _ in pairs], [j for _, j in pairs])
                 terms.append(IndicatorTerm(a.coeff * b.coeff, pp))
-    return make_statistic(f.n, terms)
+    return make_statistic(n, terms)
 
 
 def one_term(n, I, J, c=1):
@@ -157,6 +205,10 @@ def test_stat_product_of_single_terms():
     assert stat_product(a, a) == a
     # zero coefficients drop out
     assert stat_product(a, one_term(6, (3,), (4,), c=0)).terms == ()
+    # the denominator is reduced with the numerators
+    half = one_term(6, (1,), (2,), c=Fraction(1, 2))
+    assert stat_product(half, b).den == 2
+    assert stat_product(half, one_term(6, (3,), (4,), c=2)).den == 1
 
 
 def test_stat_product_of_single_terms_commutes_and_associates():
@@ -171,11 +223,12 @@ def test_stat_product_of_single_terms_commutes_and_associates():
     for _ in range(150):
         a, b, c = small(rng), small(rng), small(rng)
         ab = stat_product(a, b)
-        assert ab == stat_product(b, a) == pairwise_product(a, b)
+        assert ab == stat_product(b, a) == pairwise_product(6, a.terms, b.terms)
         assert stat_product(ab, c) == stat_product(a, stat_product(b, c))
 
 
-def random_statistic(rng, n, size):
+def random_terms(rng, n, size):
+    """Seeded terms whose pairs are listed in random order (I not ascending)."""
     coeffs = [Fraction(p, q) for p in (-3, -1, 1, 2) for q in (1, 2, 3, 5)]
     terms = []
     for _ in range(size):
@@ -183,20 +236,21 @@ def random_statistic(rng, n, size):
         I = tuple(rng.sample(range(1, n + 1), k))
         J = tuple(rng.sample(range(1, n + 1), k))
         terms.append(IndicatorTerm(rng.choice(coeffs), PartialPermutation(n, I, J)))
-    return make_statistic(n, terms)
+    return terms
 
 
 def test_stat_product_matches_pairwise_merges():
     rng = random.Random(3)
     for n in range(1, 8):
         for _ in range(12):
-            f = random_statistic(rng, n, rng.randrange(0, 10))
-            g = random_statistic(rng, n, rng.randrange(0, 10))
-            assert stat_product(f, g) == pairwise_product(f, g)
+            f_terms = random_terms(rng, n, rng.randrange(0, 10))
+            g_terms = random_terms(rng, n, rng.randrange(0, 10))
+            f, g = make_statistic(n, f_terms), make_statistic(n, g_terms)
+            assert stat_product(f, g) == pairwise_product(n, f_terms, g_terms)
     for n in range(2, 7):
         exc, maj = builtin("exc", n), builtin("maj", n)
-        assert stat_product(exc, maj) == pairwise_product(exc, maj)
-        assert stat_product(maj, maj) == pairwise_product(maj, maj)
+        assert stat_product(exc, maj) == pairwise_product(n, exc.terms, maj.terms)
+        assert stat_product(maj, maj) == pairwise_product(n, maj.terms, maj.terms)
 
 
 def test_stat_product_edge_cases():
@@ -209,19 +263,19 @@ def test_stat_product_edge_cases():
     f = stat(4, (1, (1,), (2,)), (1, (2,), (3,)))
     g = stat(4, (1, (2,), (3,)), (-1, (1,), (2,)))
     prod = stat_product(f, g)
-    assert prod == pairwise_product(f, g)
+    assert prod == pairwise_product(4, f.terms, g.terms)
     assert prod == stat(4, (-1, (1,), (2,)), (1, (2,), (3,)))
     # the empty term is the constant function
     const = stat(4, (Fraction(-2, 3), (), ()))
     mixed = stat(4, (Fraction(1, 2), (3, 1), (1, 4)), (Fraction(5, 7), (2,), (2,)))
-    assert stat_product(const, mixed) == pairwise_product(const, mixed)
+    assert stat_product(const, mixed) == pairwise_product(4, const.terms, mixed.terms)
     assert stat_product(mixed, const) == stat(
         4, (Fraction(-1, 3), (1, 3), (4, 1)), (Fraction(-10, 21), (2,), (2,))
     )
     assert stat_product(const, const) == stat(4, (Fraction(4, 9), (), ()))
     # n = 1: the only indicators are the constant and 1_{(1),(1)}
     one = stat(1, (Fraction(3, 2), (), ()), (Fraction(-1, 4), (1,), (1,)))
-    assert stat_product(one, one) == pairwise_product(one, one)
+    assert stat_product(one, one) == pairwise_product(1, one.terms, one.terms)
     assert stat_product(one, one) == stat(
         1, (Fraction(9, 4), (), ()), (Fraction(-11, 16), (1,), (1,))
     )
@@ -230,18 +284,96 @@ def test_stat_product_edge_cases():
 
 
 def test_stat_product_builds_one_term_per_result(monkeypatch):
+    # products and symmetrization run on pair tuples and integers: they build
+    # no partial permutation, no indicator term and no Fraction per term;
+    # reading .terms builds one of each per term
     maj6 = builtin("maj", 6)
-    built = []
+    built, terms_built, fractions = [], [], []
     validate = PartialPermutation.__post_init__
+    term_init = IndicatorTerm.__init__
 
     def counting(self):
         built.append(self)
         validate(self)
 
+    def counting_terms(self, *args):
+        terms_built.append(self)
+        term_init(self, *args)
+
+    def counting_fraction(*args):
+        fractions.append(args)
+        return Fraction(*args)
+
     monkeypatch.setattr(PartialPermutation, "__post_init__", counting)
-    stat_product.cache_clear()
+    monkeypatch.setattr(IndicatorTerm, "__init__", counting_terms)
+    monkeypatch.setattr(pathmn.statistics, "Fraction", counting_fraction)
+    clear_caches()
     result = stat_product(maj6, maj6)
-    assert len(built) == len(result.terms) > 0
+    assert built == terms_built == fractions == []
+    cf = symmetrize(result)
+    assert built == terms_built == []
+    assert len(fractions) == len(cf.schur.terms) > 0
+    fractions.clear()
+    terms = result.terms
+    assert len(built) == len(terms_built) == len(fractions) == len(terms) == len(result.nums) > 0
+
+
+def power(f, m):
+    g = f
+    for _ in range(m - 1):
+        g = stat_product(g, f)
+    return g
+
+
+def moments_text(f, m):
+    cf = symmetrize(power(f, m))
+    values = [f"{mu}:{class_eval(cf, mu)}" for mu in partitions_of(f.n)]
+    return "\n".join([cf.schur.to_json()] + values)
+
+
+def ascending_statistic(seed, n, size):
+    rng = random.Random(seed)
+    terms = []
+    for _ in range(size):
+        k = rng.randrange(0, min(n, 3) + 1)
+        pairs = sorted(zip(rng.sample(range(1, n + 1), k), rng.sample(range(1, n + 1), k)))
+        I, J = tuple(i for i, _ in pairs), tuple(j for _, j in pairs)
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+        terms.append(IndicatorTerm(c, PartialPermutation(n, I, J)))
+    return make_statistic(n, terms)
+
+
+def sha(parts):
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+# sha256 of each case's outputs, captured before statistics moved to integer
+# numerators over one denominator
+PINNED = {
+    ("exc", 1): "639713f6007f31aaa7bf5216c864b5d5ed2ef7ac655b2ea8a55569437cee7274",
+    ("exc", 2): "d4c47e3ef17ed0d1fa166dfcadfb71f6f59cc6b32da3daf2ab3b45755d28b75d",
+    ("exc", 3): "849ef22c958351f61eb962f356d4da2a3c53a7dd453ddfa5dbe46b928785f130",
+    ("maj", 1): "5d918bc9bff15251f68cb73c6a3d360c7a4c84199e512fb8d14116c3ca77aef2",
+    ("maj", 2): "b980123cce6a61f6f1822769f2d363ec7c4703b81ec9b698851cd09c267eb326",
+    ("maj", 3): "65cf79898b53f45d9a69d2244efffac2418850da22441fb5289d4e5ed41d5483",
+    ("random", 1, 6): "66c6abcd8d17a0ae4202e56e3286d7f66f098268ec287a13d35a79352d102f5e",
+    ("random", 2, 7): "a97a77fa9d3cd25c10d9f68e82abccf7be6f3094c8d808281b1d48150b5af414",
+    ("random", 3, 8): "5ffd30ad4fa3920ef8e50ee46b170845ac9b4d927e0ede6f0192b63d616ad365",
+    ("json", "exc"): "3d5c2bee1f24a6231b96b1a0d9c7011ae4864dd2cb347988c4f0602e558a8245",
+    ("json", "maj"): "cca2e457fef70fe6389904105f580ad2a058f17398af98af35a6305c44505955",
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED), ids=lambda case: "-".join(map(str, case)))
+def test_statistic_outputs_match_pinned_digests(case):
+    kind = case[0]
+    if kind == "random":
+        parts = [moments_text(ascending_statistic(case[1], case[2], 12), 2)]
+    elif kind == "json":
+        parts = [stat_to_json(power(builtin(case[1], n), m)) for n in range(1, 7) for m in (1, 2)]
+    else:
+        parts = [moments_text(builtin(kind, n), case[1]) for n in range(1, 9)]
+    assert sha(parts) == PINNED[case]
 
 
 @pytest.mark.parametrize("n", [30, 40])
@@ -391,7 +523,35 @@ def test_json_round_trip():
         ],
     )
     assert stat_from_json(stat_to_json(g)) == g
+    # pairs in any order, decimal and integer coefficients keep their value
+    text = '{"n": 6, "terms": [{"coeff": "1.5", "I": [4, 2], "J": [1, 4]}, {"coeff": 2, "I": [5], "J": [5]}]}'
+    h = make_statistic(6, [term(6, Fraction(3, 2), (2, 4), (4, 1)), term(6, 2, (5,), (5,))])
+    assert stat_from_json(text) == h
+    assert '"I": [2, 4], "J": [4, 1]' in stat_to_json(stat_from_json(text))
     with pytest.raises(ParseError):
         stat_from_json('{"n": 2}')
     with pytest.raises(ParseError):
         stat_from_json('{"terms": []}')
+    for coeff in ("1/-2", "1/+2", "x", "1/0", "1//2"):
+        with pytest.raises(ParseError):
+            stat_from_json('{"n": 2, "terms": [{"coeff": "%s", "I": [1], "J": [2]}]}' % coeff)
+
+
+def test_json_round_trip_past_the_digit_limit():
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        pytest.skip("this Python has no int<->str digit limit")
+    old = sys.get_int_max_str_digits()
+    set_limit(4300)
+    try:
+        big = math.factorial(2000)  # 5736 digits
+        with pytest.raises(ValueError):
+            str(big)
+        for c in (Fraction(big), Fraction(1, big), Fraction(-big, 3)):
+            f = make_statistic(5, [term(5, c, (3, 1), (1, 4)), term(5, 1, (2,), (2,))])
+            g = stat_from_json(stat_to_json(f))
+            assert g == f and g.terms[1].coeff == c
+        literal = stat_to_json(f).replace('"coeff": "1/1"', '"coeff": 1' + "0" * 5000)
+        assert stat_from_json(literal).terms[0].coeff == 10**5000
+    finally:
+        set_limit(old)
