@@ -87,6 +87,7 @@ from pathmn.statistics import (
     variance_on_class,
 )
 from pathmn.symfunc import (
+    PATH,
     POWER,
     SCHUR,
     SymExpansion,

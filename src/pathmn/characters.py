@@ -9,6 +9,7 @@ the fast "hybrid" route; the brute oracle sums p_cyc over completions.
 
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,14 +91,27 @@ class CharacterTable:
     def value(self, lam, mu) -> int:
         return self.entries[(tuple(lam), tuple(sorted(mu, reverse=True)))]
 
+    def _rows(self) -> list:
+        """Row lam of the table is [chi^lam_mu for mu in shapes]."""
+        return [[self.entries[(lam, mu)] for mu in self.shapes] for lam in self.shapes]
+
+    def render(self) -> str:
+        """Human format: a grid with right-aligned columns, labelled by shape."""
+        labels = [format_partition(s) for s in self.shapes]
+        grid = [["", *labels]] + [[name, *map(str, row)] for name, row in zip(labels, self._rows())]
+        widths = [max(map(len, col)) for col in zip(*grid)]
+        return "\n".join("  ".join(c.rjust(w) for c, w in zip(line, widths)) for line in grid)
+
+    def to_json(self) -> str:
+        shapes = [list(s) for s in self.shapes]
+        return json.dumps({"n": self.n, "shapes": shapes, "rows": self._rows()})
+
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["lambda\\mu"] + [format_partition(mu) for mu in self.shapes])
-        for lam in self.shapes:
-            writer.writerow(
-                [format_partition(lam)] + [self.entries[(lam, mu)] for mu in self.shapes]
-            )
+        for lam, row in zip(self.shapes, self._rows()):
+            writer.writerow([format_partition(lam), *row])
         return buf.getvalue()
 
 

@@ -1,14 +1,14 @@
-"""Command-line front end.
+"""Command-line front end: parse the arguments, compute, call one renderer.
 
 Commands: path-expand, p-expand, atomic, char, table, stat, oracle-check.
-Results go to stdout, diagnostics to stderr. Exit codes: 0 success,
-1 the output could not be completed (stdout closed, or an internal error),
+Expansions and character tables print themselves: render(), to_json() or
+to_csv() for --format human, json or csv; char prints its one value here.
+Results go to stdout, diagnostics to stderr. Exit codes: 0 success, 1 the
+output could not be completed (stdout closed, or an internal error),
 2 parse failure, 3 guard refusal, 4 oracle mismatch.
 """
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -18,7 +18,7 @@ from pathmn import characters, oracles, ribbons, statistics, symfunc
 from pathmn.errors import GuardError, OracleMismatch, ParseError
 from pathmn.partial_perm import parse_pp
 from pathmn.partitions import format_partition, parse_composition, parse_partition
-from pathmn.symfunc import POWER, SymExpansion
+from pathmn.symfunc import PATH, POWER, SymExpansion
 
 __all__ = ["main", "build_parser"]
 
@@ -120,23 +120,13 @@ def main(argv=None) -> int:
             set_digits(digits_before)
 
 
-def _print_expansion(exp: SymExpansion, args, symbol=None, basis_name=None):
+def _print_expansion(exp: SymExpansion, args):
     if args.format == "json":
-        if basis_name is None:
-            print(exp.to_json())
-        else:
-            data = json.loads(exp.to_json())
-            data["basis"] = basis_name
-            print(json.dumps(data))
+        print(exp.to_json())
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["partition", "num", "den"])
-        for t in json.loads(exp.to_json())["terms"]:  # digits made once per expansion
-            writer.writerow([format_partition(t["partition"]), t["num"], t["den"]])
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(exp.to_csv())
     else:
-        print(exp.render(long=args.long, symbol=symbol))
+        print(exp.render(long=args.long))
 
 
 def _cmd_path_expand(args):
@@ -154,12 +144,10 @@ def _cmd_path_expand(args):
 def _cmd_p_expand(args):
     mu = tuple(sorted(parse_composition(args.mu), reverse=True))
     if args.in_path_basis:
-        coeffs = symfunc.p_in_path_basis(mu)
-        exp = SymExpansion(POWER, sum(mu), coeffs)
-        _print_expansion(exp, args, symbol="P", basis_name="path")
+        exp = SymExpansion(PATH, sum(mu), symfunc.p_in_path_basis(mu))
     else:
-        f = SymExpansion(POWER, sum(mu), {mu: Fraction(1)})
-        _print_expansion(symfunc.power_to_schur(f), args)
+        exp = symfunc.power_to_schur(SymExpansion(POWER, sum(mu), {mu: Fraction(1)}))
+    _print_expansion(exp, args)
 
 
 def _cmd_atomic(args):
@@ -182,38 +170,12 @@ def _cmd_char(args):
 
 def _cmd_table(args):
     table = characters.character_table(args.n)
-    if args.format == "csv":
+    if args.format == "json":
+        print(table.to_json())
+    elif args.format == "csv":
         sys.stdout.write(table.to_csv())
-    elif args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "n": table.n,
-                    "shapes": [list(s) for s in table.shapes],
-                    "rows": [
-                        [table.entries[(lam, mu)] for mu in table.shapes]
-                        for lam in table.shapes
-                    ],
-                }
-            )
-        )
     else:
-        labels = [format_partition(s) for s in table.shapes]
-        width = max((len(x) for x in labels), default=1)
-        cells = {
-            (i, j): str(table.entries[(lam, mu)])
-            for i, lam in enumerate(table.shapes)
-            for j, mu in enumerate(table.shapes)
-        }
-        col_w = [
-            max([len(labels[j])] + [len(cells[(i, j)]) for i in range(len(labels))])
-            for j in range(len(labels))
-        ]
-        header = " " * width + "  " + "  ".join(l.rjust(col_w[j]) for j, l in enumerate(labels))
-        print(header)
-        for i, lam in enumerate(table.shapes):
-            row = "  ".join(cells[(i, j)].rjust(col_w[j]) for j in range(len(labels)))
-            print(labels[i].rjust(width) + "  " + row)
+        print(table.render())
 
 
 def _cmd_stat(args):

@@ -1,15 +1,18 @@
-"""Sparse exact expansions in the Schur and power-sum bases.
+"""Sparse exact expansions in the Schur, power-sum and path power-sum bases.
 
 A SymExpansion is a degree-homogeneous linear combination with exact rational
 coefficients, keyed by partitions. Schur-basis expansions are closed under
 multiplication by a power sum p_r (ribbon additions), which is all the
 multiplication the package needs; conversions between the classical power
-sums, the path power sums, and the Schur basis live here too.
+sums, the path power sums, and the Schur basis live here too. An expansion
+prints itself in each output format: render(), to_json() and to_csv().
 
 Ribbons are added by the chain and the walk of ribbons, which count the shapes
 and nodes they hold; the power sums here guard only their number of parts.
 """
 
+import csv
+import io
 import json
 import math
 import re
@@ -30,6 +33,7 @@ from pathmn.ribbons import _mask, _ribbon_chains, _shape, add_ribbons, memo, til
 __all__ = [
     "SCHUR",
     "POWER",
+    "PATH",
     "SymExpansion",
     "mult_by_power",
     "power_to_schur",
@@ -40,8 +44,9 @@ __all__ = [
 
 SCHUR = "schur"
 POWER = "power"
+PATH = "path"
 
-_SYMBOL = {SCHUR: "s", POWER: "p"}
+_SYMBOL = {SCHUR: "s", POWER: "p", PATH: "P"}
 
 _MAX_PARTS = 400  # recursion depth grows with the parts: 987 stop path-expand
 
@@ -101,7 +106,7 @@ class SymExpansion:
     """Homogeneous expansion in one basis: map partition -> nonzero rational."""
 
     def __init__(self, basis, degree, terms):
-        if basis not in (SCHUR, POWER):
+        if basis not in _SYMBOL:
             raise ParseError(f"unknown basis {basis!r}")
         if degree < 0:
             raise ParseError(f"degree must be nonnegative, got {degree}")
@@ -170,9 +175,9 @@ class SymExpansion:
                 f" vs ({other.basis}, {other.degree})"
             )
 
-    def render(self, long=False, symbol=None) -> str:
+    def render(self, long=False) -> str:
         """Human format, e.g. "(5/2)·s[6] − (1/2)·s[5,1]" and "1·s[]"."""
-        sym = symbol if symbol is not None else _SYMBOL[self.basis]
+        sym = _SYMBOL[self.basis]
         if not self.terms:
             return "0"
         items = self.items()
@@ -205,10 +210,21 @@ class SymExpansion:
             }
         )
 
+    def to_csv(self) -> str:
+        """A "partition,num,den" header, then one row per term; ends in a newline."""
+        items = self.items()
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["partition", "num", "den"])
+        for (lam, c), num in zip(items, _ints_text([c.numerator for _, c in items])):
+            writer.writerow([format_partition(lam), num, _int_text(c.denominator)])
+        return buf.getvalue()
+
     @classmethod
     def from_json(cls, text: str) -> "SymExpansion":
         try:
-            data = json.loads(text)
+            # numbers stay text: int() then reads past the digit limit and refuses 1.5
+            data = json.loads(text, parse_int=str, parse_float=str)
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid JSON: {e}") from None
         try:
@@ -218,7 +234,7 @@ class SymExpansion:
                 c = Fraction(_text_int(t["num"]), _text_int(t["den"]))
                 terms[lam] = terms.get(lam, 0) + c
             return cls(data["basis"], int(data["degree"]), terms)
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
             raise ParseError(f"malformed expansion object: {e}") from None
 
 
@@ -252,6 +268,12 @@ def power_to_schur(f: SymExpansion) -> SymExpansion:
     return SymExpansion._from_masks(f.degree, out)
 
 
+def _merged_indices(mu):
+    """(sorted block sums of mu, pi) for each set partition pi of mu's positions."""
+    for pi in enumerate_set_partitions(len(mu)):
+        yield tuple(sorted((sum(mu[i - 1] for i in block) for block in pi), reverse=True)), pi
+
+
 def path_power_in_p(mu) -> SymExpansion:
     """Path power sum as a combination of classical power sums.
 
@@ -261,8 +283,7 @@ def path_power_in_p(mu) -> SymExpansion:
     """
     mu = check_composition(mu)
     terms = {}
-    for pi in enumerate_set_partitions(len(mu)):
-        index = tuple(sorted((sum(mu[i - 1] for i in block) for block in pi), reverse=True))
+    for index, pi in _merged_indices(mu):
         weight = math.prod(math.factorial(len(block) - 1) for block in pi)
         terms[index] = terms.get(index, 0) + weight
     return SymExpansion(POWER, sum(mu), terms)
@@ -276,8 +297,7 @@ def p_in_path_basis(mu) -> dict:
     """
     mu = check_partition(tuple(sorted(mu, reverse=True)))
     out = {}
-    for pi in enumerate_set_partitions(len(mu)):
-        index = tuple(sorted((sum(mu[i - 1] for i in block) for block in pi), reverse=True))
+    for index, pi in _merged_indices(mu):
         sign = -1 if (len(mu) - len(pi)) % 2 else 1
         out[index] = out.get(index, 0) + sign
     return {lam: c for lam, c in out.items() if c}

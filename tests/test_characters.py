@@ -162,6 +162,20 @@ def test_character_table_csv():
     )
 
 
+def test_character_table_render_and_json():
+    table = character_table(3)
+    assert table.render() == (
+        "         [3]  [2,1]  [1,1,1]\n"
+        "    [3]    1      1        1\n"
+        "  [2,1]   -1      0        2\n"
+        "[1,1,1]    1     -1        1"
+    )
+    assert table.to_json() == (
+        '{"n": 3, "shapes": [[3], [2, 1], [1, 1, 1]], "rows": [[1, 1, 1], [-1, 0, 2], [1, -1, 1]]}'
+    )
+    assert character_table(0).render() == "    []\n[]   1"
+
+
 def test_expansions_are_built_only_for_public_results(monkeypatch):
     # an expansion is built by the validating constructor or from masks
     built = []

@@ -10,7 +10,21 @@ from decimal import Decimal
 import pytest
 
 import pathmn.cli
-from pathmn import SymExpansion, PartialPermutation, atomic_schur, builtin, clear_caches, stat_to_json
+from pathmn import (
+    PATH,
+    POWER,
+    PartialPermutation,
+    SymExpansion,
+    atomic_schur,
+    builtin,
+    clear_caches,
+    p_in_path_basis,
+    path_power_to_schur,
+    power_to_schur,
+    stat_product,
+    stat_to_json,
+    symmetrize,
+)
 from pathmn.cli import main
 
 A7_PP = "1,4,5,6,7 -> 2,5,6,4,7"
@@ -87,6 +101,63 @@ def test_p_expand(capsys):
     assert out == "−1·P[3] + 1·P[2,1]\n"
     out, _ = run_cli(capsys, ["p-expand", "2,1", "--in-path-basis", "--format", "json"])
     assert json.loads(out)["basis"] == "path"
+
+
+def _maj5_squared():
+    maj = builtin("maj", 5)
+    return symmetrize(stat_product(maj, maj)).schur
+
+
+@pytest.mark.parametrize(
+    ("argv", "expected"),
+    [
+        (["path-expand", "3,2,1"], lambda: path_power_to_schur((3, 2, 1))),
+        (["p-expand", "3,2,1"], lambda: power_to_schur(SymExpansion(POWER, 6, {(3, 2, 1): 1}))),
+        (["p-expand", "3,2,1", "--in-path-basis"], lambda: SymExpansion(PATH, 6, p_in_path_basis((3, 2, 1)))),
+        (["atomic", "--pp", A7_PP, "--n", "7"], lambda: atomic_schur(PartialPermutation(7, (1, 4, 5, 6, 7), (2, 5, 6, 4, 7)))),
+        (["stat", "maj", "--n", "5", "--moment", "2"], _maj5_squared),
+    ],
+    ids=["path-expand", "p-expand", "p-expand-in-path-basis", "atomic", "stat"],
+)
+def test_expansion_json_reads_back_as_the_library_result(capsys, argv, expected):
+    out, _ = run_cli(capsys, argv + ["--format", "json"])
+    assert SymExpansion.from_json(out) == expected()
+
+
+# sha256 of stdout, all exit 0; captured before the table and CSV formats
+# moved from the CLI into CharacterTable and SymExpansion
+OUTPUT_DIGESTS = {
+    (("table", "0"), "human"): "af223013931fb052801742c527a7e29f791b0e9567a08fea5793947bc2621941",
+    (("table", "0"), "json"): "68056c056443415ffcaa17b531e33e1ee62d7f86b4e4dbb93d109b700cb8fa07",
+    (("table", "0"), "csv"): "e9aeda1d64cdef429eb162c71aae0101004b836bb29130360b0ceec13fe2ac4b",
+    (("table", "1"), "human"): "10c8ab198def4c809e28c1d64b48010b5e7311b8014f8b3d9b3493bdf5c39fc8",
+    (("table", "1"), "json"): "fa565c5d087cd98862377ba60bed86d761986f32383f1b5ad39eaca99f77658b",
+    (("table", "1"), "csv"): "170571c9c41d70ee3c1fd7c7e0478c08cabaec747468eca550f47f5ac6b0d5f5",
+    (("table", "4"), "human"): "d2ba7b7b079f5bf1c17a79bffa006962dad756887e386c62b2cbf8987f9dff3f",
+    (("table", "4"), "json"): "a9bee757a6df14beb5eb56bacdc221d3d5639ce5db4e0304709fe0658d2e5613",
+    (("table", "4"), "csv"): "34a6edad2513db268f683160f860ef08a02575e288822d7aec6019c4de7f8fb9",
+    (("table", "8"), "human"): "3d730f4140e73ca86e6a5edf85b6e1cb5b64b935f58995e570640aaea8fbffc7",
+    (("table", "8"), "json"): "da670f4c62e253c2a10044382e3e6681192a2a3a8408d087a17e53cb7c6a76d9",
+    (("table", "8"), "csv"): "7b71a607904deb337baa282c6506b0e0b518601666d1f30465cdb0b17aa60532",
+    (("table", "12"), "human"): "99047a9dd340b90a50f523fd882298f09c4de3adcbb80d7d6d6e2a9ee7cc7a6f",
+    (("table", "12"), "json"): "5e6386543024d29e06bf5c95bd71503731d494eeca502f2baecd3d6577a05184",
+    (("table", "12"), "csv"): "a954fd5c139e7c0dc5fbd186083256b25795aba36cad0a42e1d5cdbee15f8d08",
+    (("path-expand", "3,2,1"), "human"): "6ce44242f3a01ec46e9c36cc7f5ca6a53f7dbbd001a1bc49647a071e7428e454",
+    (("path-expand", "3,2,1"), "json"): "cf1948848ab8b85b0859c5c0bc080534de55aa85c312928c7d529788fd80560f",
+    (("path-expand", "3,2,1"), "csv"): "9a2ce48e8c25c1e740bd65ed3aa35fddecf2d9b1eeaa40908d2052234fa11f46",
+    (("p-expand", "3,2,1", "--in-path-basis"), "human"): "08aee44fc960a060c61e84db71762a16345573d022e82be5f7c3793b6a1334f5",
+    (("p-expand", "3,2,1", "--in-path-basis"), "json"): "cdc8d9bea2baaf06dfd034fa27eaea9338d549978e736566719e5ee4a70c23ee",
+    (("p-expand", "3,2,1", "--in-path-basis"), "csv"): "d1dc44d48a8ec65d22ddd27f6bc4d745fda1fd6c29c9e22864a17cb5908c28e0",
+    (("atomic", "--pp", A7_PP, "--n", "7"), "human"): "80db55bf16e9f7c981ad83ceea2d2450abeca12e71e7eb878c3166b84e02cb34",
+    (("atomic", "--pp", A7_PP, "--n", "7"), "json"): "74b79333c7b3a62e39c65f6caed35ed51d7bd9621675f56208b0db853f31b569",
+    (("atomic", "--pp", A7_PP, "--n", "7"), "csv"): "ae76b497121a4827e233a121723ab1238dd4573b5a0b51cfe5e5f6542cd02e94",
+}
+
+
+@pytest.mark.parametrize(("command", "fmt"), OUTPUT_DIGESTS)
+def test_output_bytes_are_pinned(capsys, command, fmt):
+    out, _ = run_cli(capsys, [*command, "--format", fmt])
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGESTS[(command, fmt)]
 
 
 def test_atomic(capsys):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from pathmn import (
+    PATH,
     POWER,
     SCHUR,
     ParseError,
@@ -70,8 +71,8 @@ def test_render():
     assert SymExpansion(SCHUR, 2, {}).render() == "0"
     half = SymExpansion(SCHUR, 2, {(2,): Fraction(5, 2), (1, 1): Fraction(-1, 2)})
     assert half.render() == "(5/2)·s[2] − (1/2)·s[1,1]"
-    lead = SymExpansion(POWER, 3, {(3,): -1, (2, 1): 1})
-    assert lead.render(symbol="P") == "−1·P[3] + 1·P[2,1]"
+    lead = SymExpansion(PATH, 3, {(3,): -1, (2, 1): 1})
+    assert lead.render() == "−1·P[3] + 1·P[2,1]"
     assert e.render(long=True) == "6·s[3]\n−4·s[2,1]"
 
 
@@ -234,6 +235,25 @@ def test_json_round_trip():
         SymExpansion.from_json('{"basis": "schur"}')
     with pytest.raises(ParseError):
         SymExpansion.from_json('{"basis": "bogus", "degree": 1, "terms": []}')
+    for num, den in (("1", "0"), ("Infinity", "1"), ("1.5", "1"), ("1", "2.0")):
+        with pytest.raises(ParseError):
+            SymExpansion.from_json(
+                f'{{"basis": "schur", "degree": 1, "terms": [{{"partition": [1], "num": {num}, "den": {den}}}]}}'
+            )
+
+
+def test_every_basis_reads_back_its_json():
+    for basis in (SCHUR, POWER, PATH):
+        e = SymExpansion(basis, 4, {(3, 1): Fraction(-2, 3), (2, 2): 5, (1, 1, 1, 1): 1})
+        assert SymExpansion.from_json(e.to_json()) == e
+    assert json.loads(SymExpansion(PATH, 1, {(1,): 1}).to_json())["basis"] == "path"
+
+
+def test_expansion_csv():
+    e = SymExpansion(SCHUR, 3, {(3,): Fraction(5, 2), (2, 1): -4, (1, 1, 1): 1})
+    assert e.to_csv() == 'partition,num,den\n[3],5,2\n"[2,1]",-4,1\n"[1,1,1]",1,1\n'
+    assert SymExpansion(SCHUR, 2, {}).to_csv() == "partition,num,den\n"
+    assert SymExpansion(SCHUR, 0, {(): 1}).to_csv() == "partition,num,den\n[],1,1\n"
 
 
 def test_huge_coefficients_under_the_default_digit_limit():
@@ -258,6 +278,25 @@ def test_huge_coefficients_under_the_default_digit_limit():
         assert SymExpansion.from_json(halved.to_json()) == halved
         with pytest.raises(ParseError):
             SymExpansion.from_json(text.replace(top["num"], top["num"][:-1] + "x"))
+    finally:
+        set_limit(old)
+
+
+def test_json_number_literal_past_the_digit_limit():
+    # a bare JSON number, not a string: json.loads would call int() on it
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        pytest.skip("this Python has no int<->str digit limit")
+    old = sys.get_int_max_str_digits()
+    set_limit(4300)
+    try:
+        digits = "1" + "0" * 5000
+        text = f'{{"basis": "schur", "degree": 1, "terms": [{{"partition": [1], "num": {digits}, "den": 1}}]}}'
+        e = SymExpansion.from_json(text)
+        assert e == SymExpansion(SCHUR, 1, {(1,): 10**5000})
+        assert SymExpansion.from_json(e.to_json()) == e
+        with pytest.raises(ParseError):
+            SymExpansion.from_json(text.replace('"degree": 1', f'"degree": {digits}'))
     finally:
         set_limit(old)
 
