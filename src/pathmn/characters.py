@@ -41,21 +41,27 @@ __all__ = [
 
 
 @memo
-def _atomic_from_type(mu, nu) -> dict:
-    """Atomic expansion {mask: int} from the graph type alone (relabeling invariance).
+def _atomic_from_type(core, nu, n) -> dict:
+    """Atomic expansion {mask: int} at ambient size n from the graph type alone
+    (relabeling invariance): core holds the path parts >= 2, nu the cycle type.
 
     The path factor is evaluated through the frozen-tiling stable formula
-    (size-1 path parts are absorbed into the padding), then one ribbon of
+    (the size-1 paths are absorbed into the padding), then one ribbon of
     each cycle part is added, largest first.
     """
-    path = _stable_terms(tuple(p for p in mu if p >= 2), sum(mu))
+    path = _stable_terms(core, n - sum(nu))
     return _ribbon_chains(path, sorted(nu, reverse=True))
+
+
+def _type_key(gt, n) -> tuple:
+    """The _atomic_from_type arguments of a GraphType at ambient size n."""
+    return tuple(p for p in gt.path_type if p >= 2), gt.cycle_type, n
 
 
 def atomic_schur(pp: PartialPermutation) -> SymExpansion:
     """Schur expansion of the atomic function A_{n,I,J}; coefficients are the
     character values chi^lam([I,J])."""
-    return SymExpansion._from_masks(pp.n, _atomic_from_type(*decompose(pp)))
+    return SymExpansion._from_masks(pp.n, _atomic_from_type(*_type_key(decompose(pp), pp.n)))
 
 
 def char_eval(lam, pp: PartialPermutation) -> int:
@@ -63,7 +69,7 @@ def char_eval(lam, pp: PartialPermutation) -> int:
     lam = check_partition(lam)
     if sum(lam) != pp.n:
         raise ParseError(f"|lam| = {sum(lam)} but ambient size is {pp.n}")
-    return _atomic_from_type(*decompose(pp)).get(_mask(lam), 0)
+    return _atomic_from_type(*_type_key(decompose(pp), pp.n)).get(_mask(lam), 0)
 
 
 def char_eval_direct(lam, pp: PartialPermutation) -> int:

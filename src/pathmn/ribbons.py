@@ -14,6 +14,8 @@ Two loops run on the step, each guarded by counting what it holds: the
 Murnaghan-Nakayama chain _ribbon_chains (power sums, cycle parts) refuses a
 step that leaves over _MAX_SHAPES shapes, and the tiling walk _monotonic_walk
 (path parts) refuses past _MAX_NODES nodes. PATHMN_MAX_N replaces both limits.
+The stable formula walks each core once for every n (_frozen_prefixes), so a
+core's walk is counted once too.
 """
 
 import itertools
@@ -48,7 +50,7 @@ __all__ = [
 
 
 _MAX_SHAPES = 5604  # p(30), all of p_{1^30}: p-expand 1^30 takes 0.4 s, 1^40 (37338) 2.4 s
-_MAX_NODES = 100_000  # about 1.3 s of walking; the largest walk tested visits 417
+_MAX_NODES = 100_000  # about 1.3 s of walking; path-expand 4,4,3,3,2,2,1,1 visits 52,074
 
 _MEMOS = []  # every memo in the package; this module sits below all that hold one
 
@@ -326,7 +328,8 @@ def stable_expansion(mu, n: int):
     so they are determined by their left-to-right size order; the multinomial
     counts those orders, and the resulting shape is shape(T0) with the first
     row extended to total size n. Equals the direct tiling enumeration of the
-    padded partition (tested), but costs O(frozen set) instead.
+    padded partition (tested). The frozen walk of mu is done once for every n
+    (_frozen_prefixes); each n then costs one pass over its table.
     """
     from pathmn.symfunc import SymExpansion
 
@@ -334,16 +337,38 @@ def stable_expansion(mu, n: int):
 
 
 def _stable_terms(mu, n: int) -> dict:
-    """stable_expansion as {mask: int}, for a mu that passed _check_stable_mu."""
+    """stable_expansion as {mask: int}, for a mu that passed _check_stable_mu.
+
+    With rest of the ones left unplaced, a prefix's tropical orders number
+    multinomial(s + rest; counts, rest) = multinomial(s; counts) * C(s + rest, rest).
+    """
     ones = n - sum(mu)
     prefactor = mult_factorial(mu) * math.factorial(ones)
     terms = {}
+    for m, cells, s, placed, w in _frozen_prefixes(mu, min(ones, sum(mu) - 2 * len(mu))):
+        rest = ones - placed
+        sigma = _extend_first_row(m, cells + rest)
+        terms[sigma] = terms.get(sigma, 0) + w * math.comb(s + rest, rest)
+    return {sigma: prefactor * c for sigma, c in terms.items() if c}
+
+
+@memo
+def _frozen_prefixes(mu, ones) -> tuple:
+    """The frozen walk of mu with ones optional singletons, summed up for every n.
+
+    One (mask, cells, s, placed, w) per class of prefixes: the s unplaced parts
+    >= 2 cover cells cells, placed singletons were placed, and w sums
+    sign * multinomial(s; counts of the unplaced parts >= 2); zero w dropped.
+    No frozen tiling places more than |mu| - 2 l(mu) singletons (tested), so
+    callers cap ones there and one walk serves every larger n.
+    """
+    table = {}
     for steps, left in _monotonic_walk(mu, 2, ones):
-        m, sign = steps[-1][0], steps[-1][4]
-        # the unplaced ribbons are the tropical ones, all in row 1
-        sigma = _extend_first_row(m, sum(size * c for size, c in left.items()))
-        terms[sigma] = terms.get(sigma, 0) + sign * multinomial(sum(left.values()), left.values())
-    return {s: prefactor * c for s, c in terms.items() if c}
+        counts = [c for size, c in left.items() if size > 1]
+        cells = sum(size * c for size, c in left.items() if size > 1)
+        key = (steps[-1][0], cells, sum(counts), ones - left.get(1, 0))
+        table[key] = table.get(key, 0) + steps[-1][4] * multinomial(sum(counts), counts)
+    return tuple(key + (w,) for key, w in table.items() if w)
 
 
 def _extend_first_row(m, cells):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, zip_longest
 
-from pathmn.characters import _atomic_from_type
+from pathmn.characters import _atomic_from_type, _type_key
 from pathmn.errors import ParseError, check_guard
 # decompose is unused here but stays bound: perfbench's tracer test looks for it
 from pathmn.partial_perm import IndicatorTerm, PartialPermutation, _graph_type, decompose
@@ -148,7 +148,7 @@ def symmetrize(f: Statistic) -> ClassFunction:
     acc = {}
     for gt, c in groups.items():
         if c:
-            for m, v in _atomic_from_type(*gt).items():
+            for m, v in _atomic_from_type(*_type_key(gt, f.n)).items():
                 acc[m] = acc.get(m, 0) + c * v
     scale = f.den * math.factorial(f.n)
     terms = {m: Fraction(v, scale) for m, v in acc.items() if v}
@@ -200,7 +200,9 @@ def stat_to_json(f: Statistic) -> str:
 
 def stat_from_json(text: str) -> Statistic:
     try:
-        data = json.loads(text, parse_int=str)  # a number past the digit limit parses too
+        # numbers stay text: int() then reads past the digit limit and refuses 3.9 or 3.0,
+        # and a decimal coefficient keeps its exact value
+        data = json.loads(text, parse_int=str, parse_float=str)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from None
     try:
@@ -212,7 +214,7 @@ def stat_from_json(text: str) -> Statistic:
             )
             for t in data["terms"]
         ]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
         raise ParseError(f"malformed statistic object: {e}") from None
     return make_statistic(n, terms)
 

@@ -18,6 +18,8 @@ from pathmn import (
     contains,
     enumerate_monotonic,
     frozen_set,
+    mult_factorial,
+    multinomial,
     pad_column,
     partitions_of,
     path_chi,
@@ -30,7 +32,16 @@ from pathmn import (
     tiling_from_type_depth,
     tiling_tally,
 )
-from pathmn.ribbons import _inside, _mask, _ribbon_step, _shape
+from pathmn.ribbons import (
+    _extend_first_row,
+    _frozen_prefixes,
+    _inside,
+    _mask,
+    _monotonic_walk,
+    _ribbon_step,
+    _shape,
+    _stable_terms,
+)
 from brute import brute_skew_mn, contains_, is_ribbon, partitions_list, ribbon_sign, skew_cells
 
 
@@ -325,6 +336,54 @@ def test_stable_expansion_matches_tilings():
                 assert stable == direct
 
 
+def _cores(max_size):
+    """Every partition with all parts >= 2 and size at most max_size, () included."""
+    return [mu for size in range(max_size + 1) for mu in partitions_of(size) if 1 not in mu]
+
+
+def _cap(core):
+    return sum(core) - 2 * len(core)
+
+
+def test_frozen_tilings_place_at_most_the_cap_of_singletons():
+    # the table walks each core with its ones capped at |core| - 2 l(core)
+    cores = _cores(12)
+    assert len(cores) == 77
+    for core in cores:
+        offered = _cap(core) + 2
+        placed = {offered - left.get(1, 0) for _, left in _monotonic_walk(core, 2, offered)}
+        assert max(placed) <= _cap(core), core
+
+
+def _stable_terms_per_prefix(mu, n):
+    """_stable_terms from the walk at n itself, uncapped: one multinomial per prefix."""
+    ones = n - sum(mu)
+    terms = {}
+    for steps, left in _monotonic_walk(mu, 2, ones):
+        m, sign = steps[-1][0], steps[-1][4]
+        sigma = _extend_first_row(m, sum(size * c for size, c in left.items()))
+        terms[sigma] = terms.get(sigma, 0) + sign * multinomial(sum(left.values()), left.values())
+    prefactor = mult_factorial(mu) * math.factorial(ones)
+    return {s: prefactor * c for s, c in terms.items() if c}
+
+
+def test_stable_terms_match_the_per_prefix_sum():
+    for core in _cores(10):
+        ns = list(range(sum(core), sum(core) + _cap(core) + 4)) + [100, 500, 1200]
+        for n in ns:
+            assert _stable_terms(core, n) == _stable_terms_per_prefix(core, n), (core, n)
+
+
+def test_a_core_is_walked_once_for_every_n():
+    core = (4, 3, 2)
+    clear_caches()
+    threshold = 2 * (sum(core) - len(core))
+    for n in (threshold, threshold + 1, 100, 1200):
+        stable_expansion(core, n)
+    info = _frozen_prefixes.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+
+
 def test_stable_expansion_first_row_gap():
     for mu, n in [((2,), 8), ((2, 2), 8), ((3, 2), 9), ((2, 2, 2), 9)]:
         bound = n - 2 * (sum(mu) - len(mu))
@@ -365,6 +424,7 @@ def test_clear_caches_is_safe():
     }
     assert set(memos) >= {
         "pathmn.ribbons.tiling_tally",
+        "pathmn.ribbons._frozen_prefixes",
         "pathmn.symfunc._p_to_schur",
         "pathmn.characters._atomic_from_type",
         "pathmn.statistics.stat_product",

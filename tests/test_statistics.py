@@ -537,6 +537,20 @@ def test_json_round_trip():
             stat_from_json('{"n": 2, "terms": [{"coeff": "%s", "I": [1], "J": [2]}]}' % coeff)
 
 
+def test_json_numbers_are_read_exactly():
+    # a float literal in n, I or J is refused, not truncated (this read as n = 3 with 1 -> 2)
+    with pytest.raises(ParseError):
+        stat_from_json('{"n": 3.9, "terms": [{"coeff": 1, "I": [1.7], "J": [2.2]}]}')
+    for n, i, j in [("3.0", "1", "2"), ("3", "1.7", "2"), ("3", "1", "2.0"), ("Infinity", "1", "2")]:
+        with pytest.raises(ParseError):
+            stat_from_json('{"n": %s, "terms": [{"coeff": 1, "I": [%s], "J": [%s]}]}' % (n, i, j))
+    # a decimal coefficient keeps its exact value, also past a float's precision
+    for literal, value in [("0.1", Fraction(1, 10)), ("1.5", Fraction(3, 2)), ("2.5e-1", Fraction(1, 4)),
+                           ("0.1000000000000000000001", Fraction(10**21 + 1, 10**22))]:
+        f = stat_from_json('{"n": 3, "terms": [{"coeff": %s, "I": [1], "J": [2]}]}' % literal)
+        assert f.terms[0].coeff == value
+
+
 def test_json_round_trip_past_the_digit_limit():
     set_limit = getattr(sys, "set_int_max_str_digits", None)
     if set_limit is None:
