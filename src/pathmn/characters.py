@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from pathmn.errors import ParseError, check_guard
-from pathmn.partial_perm import PartialPermutation, decompose, embed, pack
+from pathmn.partial_perm import PartialPermutation, _graph_type, decompose, embed, pack
 from pathmn.partitions import (
     canonical_order,
     check_partition,
@@ -43,7 +43,8 @@ __all__ = [
 @memo
 def _atomic_from_type(core, nu, n) -> dict:
     """Atomic expansion {mask: int} at ambient size n from the graph type alone
-    (relabeling invariance): core holds the path parts >= 2, nu the cycle type.
+    (relabeling invariance): core holds the path parts >= 2, nu the cycle type,
+    as partial_perm._graph_type walks them.
 
     The path factor is evaluated through the frozen-tiling stable formula
     (the size-1 paths are absorbed into the padding), then one ribbon of
@@ -53,15 +54,10 @@ def _atomic_from_type(core, nu, n) -> dict:
     return _ribbon_chains(path, sorted(nu, reverse=True))
 
 
-def _type_key(gt, n) -> tuple:
-    """The _atomic_from_type arguments of a GraphType at ambient size n."""
-    return tuple(p for p in gt.path_type if p >= 2), gt.cycle_type, n
-
-
 def atomic_schur(pp: PartialPermutation) -> SymExpansion:
     """Schur expansion of the atomic function A_{n,I,J}; coefficients are the
     character values chi^lam([I,J])."""
-    return SymExpansion._from_masks(pp.n, _atomic_from_type(*_type_key(decompose(pp), pp.n)))
+    return SymExpansion._from_masks(pp.n, _atomic_from_type(*_graph_type(pp.pairs()), pp.n))
 
 
 def char_eval(lam, pp: PartialPermutation) -> int:
@@ -69,7 +65,7 @@ def char_eval(lam, pp: PartialPermutation) -> int:
     lam = check_partition(lam)
     if sum(lam) != pp.n:
         raise ParseError(f"|lam| = {sum(lam)} but ambient size is {pp.n}")
-    return _atomic_from_type(*_type_key(decompose(pp), pp.n)).get(_mask(lam), 0)
+    return _atomic_from_type(*_graph_type(pp.pairs()), pp.n).get(_mask(lam), 0)
 
 
 def char_eval_direct(lam, pp: PartialPermutation) -> int:

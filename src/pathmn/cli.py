@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from pathmn import characters, oracles, ribbons, statistics, symfunc
@@ -86,12 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Coefficients pass CPython's 4300-digit int->str limit from about n = 1600:
-    # lift it for this call only.
-    set_digits = getattr(sys, "set_int_max_str_digits", None)
-    if set_digits is not None:
-        digits_before = sys.get_int_max_str_digits()
-        set_digits(0)
     try:
         args = build_parser().parse_args(argv)
         _HANDLERS[args.command](args)
@@ -115,9 +110,6 @@ def main(argv=None) -> int:
     except Exception as e:  # unforeseen: one line on stderr, no traceback
         print(f"error: internal: {type(e).__name__}: {e}".replace("\n", " "), file=sys.stderr)
         return 1
-    finally:
-        if set_digits is not None:
-            set_digits(digits_before)
 
 
 def _print_expansion(exp: SymExpansion, args):
@@ -158,9 +150,10 @@ def _cmd_atomic(args):
 def _cmd_char(args):
     lam = parse_partition(args.lam)
     pp = parse_pp(args.pp, args.n)
-    value = characters.char_eval(lam, pp)
+    # Decimal prints an int in full, also past CPython's 4300-digit str(int) limit
+    value = Decimal(characters.char_eval(lam, pp))
     if args.format == "json":
-        print(json.dumps({"lam": list(lam), "value": value}))
+        print(f'{{"lam": {json.dumps(list(lam))}, "value": {value}}}')
     elif args.format == "csv":
         print("partition,value")
         print(f'"{format_partition(lam)}",{value}')

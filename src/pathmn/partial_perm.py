@@ -76,20 +76,22 @@ class IndicatorTerm:
 
 
 def decompose(pp: PartialPermutation) -> GraphType:
-    """Path and cycle type of the functional graph of (I, J)."""
-    return _graph_type(pp.n, pp.pairs())
+    """Path and cycle type of (I, J); the isolated vertices are the size-1 paths."""
+    paths, cycles = _graph_type(pp.pairs())
+    isolated = pp.n - sum(paths) - sum(cycles)
+    return GraphType(paths + (1,) * isolated, cycles)
 
 
-def _graph_type(n: int, pairs) -> GraphType:
-    """Path and cycle type of the edges i -> j of a tuple of injective pairs on [n].
+def _graph_type(pairs) -> tuple:
+    """(paths, cycles): the sizes of the components of the edges i -> j of a
+    tuple of injective pairs, each sorted descending.
 
     Only the vertices of I u J are walked: paths from their unique source (a
-    vertex of I outside J), then cycles. The n - |I u J| isolated vertices
-    are the size-1 paths.
+    vertex of I outside J), then cycles. Every walked path has at least 2
+    vertices; the isolated vertices are left to the caller.
     """
     succ = dict(pairs)
     targets = set(succ.values())
-    isolated = n - len(targets.union(succ))
     paths = []
     for v, _ in pairs:
         if v in targets:
@@ -107,10 +109,7 @@ def _graph_type(n: int, pairs) -> GraphType:
             v = succ.pop(v)
             size += 1
         cycles.append(size)
-    return GraphType(
-        tuple(sorted(paths, reverse=True)) + (1,) * isolated,
-        tuple(sorted(cycles, reverse=True)),
-    )
+    return tuple(sorted(paths, reverse=True)), tuple(sorted(cycles, reverse=True))
 
 
 def pack(pp: PartialPermutation):

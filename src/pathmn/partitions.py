@@ -207,8 +207,11 @@ def _parse_parts(text: str) -> tuple:
         m = _TOKEN.match(token)
         if not m:
             raise ParseError(f"bad partition token {token!r} in {text!r}")
-        base = int(m.group(1))
-        mult = int(m.group(2)) if m.group(2) else 1
+        try:
+            base = int(m.group(1))
+            mult = int(m.group(2)) if m.group(2) else 1
+        except ValueError:  # past CPython's 4300-digit int(str) limit
+            raise ParseError(f"partition token too long in {text!r}") from None
         if base < 1:
             raise ParseError(f"parts must be positive, got {base} in {text!r}")
         parts.extend([base] * mult)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, zip_longest
 
-from pathmn.characters import _atomic_from_type, _type_key
+from pathmn.characters import _atomic_from_type
 from pathmn.errors import ParseError, check_guard
 # decompose is unused here but stays bound: perfbench's tracer test looks for it
 from pathmn.partial_perm import IndicatorTerm, PartialPermutation, _graph_type, decompose
@@ -139,16 +139,16 @@ def symmetrize(f: Statistic) -> ClassFunction:
 
     Indicators with the same path and cycle type have identical atomic
     expansions, so the Reynolds average costs one expansion per class, divided
-    by den·n! at the end.
+    by den·n! at the end. At one n the walked paths and cycles name the class.
     """
     groups = {}
     for pairs, c in f.nums:
-        gt = _graph_type(f.n, pairs)
-        groups[gt] = groups.get(gt, 0) + c
+        key = _graph_type(pairs)
+        groups[key] = groups.get(key, 0) + c
     acc = {}
-    for gt, c in groups.items():
+    for (core, nu), c in groups.items():
         if c:
-            for m, v in _atomic_from_type(*_type_key(gt, f.n)).items():
+            for m, v in _atomic_from_type(core, nu, f.n).items():
                 acc[m] = acc.get(m, 0) + c * v
     scale = f.den * math.factorial(f.n)
     terms = {m: Fraction(v, scale) for m, v in acc.items() if v}

@@ -7,6 +7,7 @@ internals, so keep these free of pathmn imports.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 
@@ -24,6 +25,29 @@ def merge_pairs(a_pairs, b_pairs):
         fwd[i] = j
         bwd[j] = i
     return tuple(sorted(fwd.items()))
+
+
+def components_type(n, pairs):
+    """(path type, cycle type) of the edges i -> j on [n] by union-find: a
+    component is a cycle iff it has as many edges as vertices, otherwise a
+    path. Isolated vertices are paths of size 1."""
+    parent = list(range(n + 1))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for i, j in pairs:
+        parent[root(i)] = root(j)
+    vertices, edges = Counter(), Counter()
+    for v in range(1, n + 1):
+        vertices[root(v)] += 1
+    for i, _ in pairs:
+        edges[root(i)] += 1
+    paths = sorted((size for r, size in vertices.items() if edges[r] < size), reverse=True)
+    cycles = sorted((size for r, size in vertices.items() if edges[r] == size), reverse=True)
+    return tuple(paths), tuple(cycles)
 
 
 def all_perms(n):

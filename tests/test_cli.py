@@ -17,8 +17,10 @@ from pathmn import (
     SymExpansion,
     atomic_schur,
     builtin,
+    char_eval,
     clear_caches,
     p_in_path_basis,
+    parse_pp,
     path_power_to_schur,
     power_to_schur,
     stat_product,
@@ -171,7 +173,7 @@ def test_atomic(capsys):
 def test_atomic_huge_coefficients(capsys):
     # s[2000] counts the 1996! completions: far past the default 4300-digit
     # int->str limit, yet printed in full in both formats (the test converts
-    # through Decimal, since the CLI lifts the limit only during its call)
+    # through Decimal, which that limit does not bind)
     pp = ["atomic", "--pp", "1,2,3,4 -> 2,3,4,5", "--n", "2000"]
     out, _ = run_cli(capsys, pp + ["--format", "json"])
     top = json.loads(out)["terms"][0]
@@ -181,21 +183,47 @@ def test_atomic_huge_coefficients(capsys):
     assert out.startswith(f"{Decimal(math.factorial(1996))}·s[2000] ")
 
 
-def test_digit_limit_is_lifted_for_the_call_only(capsys):
-    if not hasattr(sys, "set_int_max_str_digits"):
+def test_digit_limit_is_left_alone(capsys, monkeypatch):
+    # every output prints past CPython's 4300-digit int->str limit on its own,
+    # so the CLI never switches the limit, not even for one call
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
         pytest.skip("this Python has no int<->str digit limit")
     old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
+    set_limit(4300)
+    calls = []
+    monkeypatch.setattr(sys, "set_int_max_str_digits", lambda *a, **kw: calls.append((a, kw)))
     try:
-        argv = ["atomic", "--pp", "1,2,3,4 -> 2,3,4,5", "--n", "2000"]
-        out, _ = run_cli(capsys, argv)
-        csv_out, _ = run_cli(capsys, argv + ["--format", "csv"])  # str(int) needs the lift
-        assert sys.get_int_max_str_digits() == 4300
-        top = str(Decimal(math.factorial(1996)))
-        assert out.startswith(f"{top}·s[2000] ")
-        assert csv_out.splitlines()[1] == f"[2000],{top},1"
+        argv = ["--pp", "1,2,3,4 -> 2,3,4,5", "--n", "2000"]
+        value = char_eval((1996, 4), parse_pp(argv[1], 2000))
+        text = str(Decimal(value))
+        assert len(text.lstrip("-")) > 4300
+        out, _ = run_cli(capsys, ["char", "1996,4", *argv])
+        assert out == f"{text}\n"
+        out, _ = run_cli(capsys, ["char", "1996,4", *argv, "--format", "json"])
+        assert json.loads(out, parse_int=Decimal) == {"lam": [1996, 4], "value": Decimal(value)}
+        out, _ = run_cli(capsys, ["char", "1996,4", *argv, "--format", "csv"])
+        assert out == f'partition,value\n"[1996,4]",{text}\n'
+        out, _ = run_cli(capsys, ["atomic", *argv, "--format", "csv"])
+        assert out.splitlines()[1] == f"[2000],{Decimal(math.factorial(1996))},1"
+        assert calls == [] and sys.get_int_max_str_digits() == 4300
     finally:
-        sys.set_int_max_str_digits(old)
+        set_limit(old)
+
+
+def test_part_past_the_digit_limit_is_a_parse_error(capsys):
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        pytest.skip("this Python has no int<->str digit limit")
+    old = sys.get_int_max_str_digits()
+    set_limit(4300)
+    try:
+        part = "9" * 5000
+        for argv in (["char", part, "--pp=->", "--n", "3"], ["path-expand", f"2^{part}"]):
+            _, err = run_cli(capsys, argv, expect_rc=2)
+            assert err.startswith("error: partition token too long")
+    finally:
+        set_limit(old)
 
 
 def test_empty_partial_permutation(capsys):

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from collections import Counter
 
 import pytest
 
@@ -17,7 +16,7 @@ from pathmn import (
     parse_pp,
     pp_from_graph_type,
 )
-from brute import all_perms, lis_length, partitions_list
+from brute import all_perms, components_type, lis_length, partitions_list
 
 
 def random_pp(rng, max_n=8):
@@ -75,42 +74,20 @@ def test_decompose_invariants():
         assert cycles == tuple(sorted(cycles, reverse=True))
 
 
-def components_type(pp):
-    """Graph type by union-find: a component is a cycle iff it has as many
-    edges as vertices, otherwise a path."""
-    parent = list(range(pp.n + 1))
-
-    def root(v):
-        while parent[v] != v:
-            v = parent[v]
-        return v
-
-    for i, j in pp.pairs():
-        parent[root(i)] = root(j)
-    vertices, edges = Counter(), Counter()
-    for v in range(1, pp.n + 1):
-        vertices[root(v)] += 1
-    for i, _ in pp.pairs():
-        edges[root(i)] += 1
-    paths = sorted((size for r, size in vertices.items() if edges[r] < size), reverse=True)
-    cycles = sorted((size for r, size in vertices.items() if edges[r] == size), reverse=True)
-    return GraphType(tuple(paths), tuple(cycles))
-
-
 def test_decompose_matches_union_find():
     for n in range(0, 5):
         for k in range(0, n + 1):
             for I in itertools.combinations(range(1, n + 1), k):
                 for J in itertools.permutations(range(1, n + 1), k):
                     pp = PartialPermutation(n, I, J)
-                    assert decompose(pp) == components_type(pp), pp
+                    assert decompose(pp) == components_type(pp.n, pp.pairs()), pp
     rng = random.Random(19)
     for _ in range(400):
         n = rng.randrange(0, 10)
         k = rng.randrange(0, n + 1)
         I = tuple(rng.sample(range(1, n + 1), k))
         pp = PartialPermutation(n, I, tuple(rng.sample(range(1, n + 1), k)))
-        assert decompose(pp) == components_type(pp), pp
+        assert decompose(pp) == components_type(pp.n, pp.pairs()), pp
     assert decompose(PartialPermutation(0, (), ())) == ((), ())
     assert decompose(PartialPermutation(9, (), ())) == ((1,) * 9, ())
     full = PartialPermutation(6, (1, 2, 3, 4, 5, 6), (2, 3, 1, 5, 4, 6))
