@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from pathmn.errors import ParseError, check_guard
 from pathmn.partial_perm import PartialPermutation, _graph_type, decompose, embed, pack
@@ -127,9 +128,11 @@ def character_table(n: int) -> CharacterTable:
         raise ParseError(f"table size must be nonnegative, got {n}")
     check_guard(n, 20, "character table size n")
     shapes = tuple(canonical_order(partitions_of(n)))
-    masks = {lam: _mask(lam) for lam in shapes}
-    columns = {mu: _p_to_schur(mu, None) for mu in shapes}
-    entries = {(lam, mu): columns[mu].get(masks[lam], 0) for mu in shapes for lam in shapes}
+    masks = [_mask(lam) for lam in shapes]
+    entries = {}
+    for mu in shapes:
+        column = _p_to_schur(mu, None)
+        entries.update(zip(zip(shapes, repeat(mu)), map(column.get, masks, repeat(0))))
     return CharacterTable(n, shapes, entries)
 
 

@@ -27,13 +27,25 @@ def effective_limit(default):
     The override is global: it replaces the default limit of every guard in the
     package. Guards are hard errors, never silent truncation.
     """
-    raw = os.environ.get("PATHMN_MAX_N")
+    raw = _override()
     if raw is None:
         return default
     try:
         return int(raw)
     except ValueError:
         raise ParseError(f"PATHMN_MAX_N must be an integer, got {raw!r}") from None
+
+
+def _override():
+    """PATHMN_MAX_N as set now, or None.
+
+    os.environ.get raises and catches a KeyError on every miss, about 1.3 us,
+    and the chain reads the limit on every call. The dict that os.environ
+    writes through to answers a miss without one and sees every run-time set.
+    """
+    env = os.environ
+    raw = env._data.get(env.encodekey("PATHMN_MAX_N"))
+    return None if raw is None else env.decodevalue(raw)
 
 
 def check_guard(value, default_limit, what):

@@ -191,6 +191,9 @@ def contains(outer, inner) -> bool:
 
 
 _TOKEN = re.compile(r"^(\d+)(?:\^(\d+))?$")
+# Refused before the list is built, which at 10^7 parts would hold 80 MB
+# before any guard counted them; char 1^(10^6) already runs for tens of seconds.
+_MAX_PARSED_PARTS = 10**7
 
 
 def _parse_parts(text: str) -> tuple:
@@ -214,6 +217,8 @@ def _parse_parts(text: str) -> tuple:
             raise ParseError(f"partition token too long in {text!r}") from None
         if base < 1:
             raise ParseError(f"parts must be positive, got {base} in {text!r}")
+        if len(parts) + mult > _MAX_PARSED_PARTS:
+            raise ParseError(f"more than {_MAX_PARSED_PARTS} parts in {text!r}")
         parts.extend([base] * mult)
     return tuple(parts)
 

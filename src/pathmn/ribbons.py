@@ -8,6 +8,8 @@ bead at bit lam_i + l - i for each row i, so () is 0. Every ribbon addition is
 one abacus step, _ribbon_step: pad by r beads, move a bead from b to an empty
 b + r, strip the trailing beads. The tail row is 1 + the beads above b, the
 tail column 1 + the gaps below b, the sign the parity of the beads jumped.
+Chains and walks step the same shapes over and over, so the step is memoized
+once for every caller, in a memo bounded to the _MAX_STEPS steps used last.
 Public results are tuples; the alternant oracle stays on tuples, independent.
 
 Two loops run on the step, each guarded by counting what it holds: the
@@ -21,7 +23,7 @@ core's walk is counted once too.
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import lru_cache, partial, reduce
 
 from pathmn.errors import ParseError, effective_limit, refusal
 from pathmn.partitions import (
@@ -51,13 +53,17 @@ __all__ = [
 
 _MAX_SHAPES = 5604  # p(30), all of p_{1^30}: p-expand 1^30 takes 0.4 s, 1^40 (37338) 2.4 s
 _MAX_NODES = 100_000  # about 1.3 s of walking; path-expand 4,4,3,3,2,2,1,1 visits 52,074
+_MAX_STEPS = 1 << 13  # table 20 steps 5632 distinct inputs; at n = 1200 a step holds ~1.5 kB
 
 _MEMOS = []  # every memo in the package; this module sits below all that hold one
 
 
-def memo(fn):
-    """functools.cache, registered so that clear_caches() empties it."""
-    cached = cache(fn)
+def memo(fn=None, *, maxsize=None):
+    """functools.cache, registered so that clear_caches() empties it; as
+    memo(maxsize=k), an lru_cache that keeps the k results used last."""
+    if fn is None:
+        return partial(memo, maxsize=maxsize)
+    cached = lru_cache(maxsize=maxsize)(fn)
     _MEMOS.append(cached)
     return cached
 
@@ -108,7 +114,8 @@ def _inside(m, w) -> bool:
     return True
 
 
-def _ribbon_step(m, r) -> list:
+@memo(maxsize=_MAX_STEPS)
+def _ribbon_step(m, r) -> tuple:
     """Every r-ribbon addition to m, top bead first: (result mask, sign, tail row, tail col)."""
     beads = m.bit_count() + r
     p = (m << r) | ((1 << r) - 1)
@@ -123,7 +130,7 @@ def _ribbon_step(m, r) -> list:
         q = p ^ (1 << b) ^ (1 << (b + r))
         q >>= (q ^ (q + 1)).bit_length() - 1  # strip the empty rows
         out.append((q, -1 if (above & jumped).bit_count() & 1 else 1, row, b + row + 1 - beads))
-    return out
+    return tuple(out)
 
 
 def add_ribbons(lam, r: int) -> list:

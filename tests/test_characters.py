@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from pathmn import (
     ParseError,
     PartialPermutation,
     SymExpansion,
+    alternant_char,
     atomic_schur,
     char_eval,
     char_eval_direct,
@@ -111,7 +113,7 @@ def test_character_table_small():
 
 
 def test_character_table_rows_and_columns():
-    for n in range(1, 8):
+    for n in range(1, 15):
         t = character_table(n)
         for mu in t.shapes:
             assert t.value((n,), mu) == 1
@@ -121,15 +123,29 @@ def test_character_table_rows_and_columns():
 
 
 def test_character_table_orthogonality():
-    for n in range(1, 8):
+    # rows: sum over classes of |class| chi^lam chi^nu = n! [lam = nu];
+    # columns: sum over lam of chi^lam_mu chi^lam_rho = z_mu [mu = rho]
+    for n in range(1, 15):
+        t = character_table(n)
+        rows = [[t.entries[(lam, mu)] for mu in t.shapes] for lam in t.shapes]
+        sizes = [math.factorial(n) // z_mu(mu) for mu in t.shapes]
+        for i, row in enumerate(rows):
+            weighted = [h * c for h, c in zip(sizes, row)]
+            for j, other in enumerate(rows):
+                expect = math.factorial(n) if i == j else 0
+                assert sum(map(operator.mul, weighted, other)) == expect
+        columns = list(zip(*rows))
+        for i, (mu, column) in enumerate(zip(t.shapes, columns)):
+            for j, other in enumerate(columns):
+                assert sum(map(operator.mul, column, other)) == (z_mu(mu) if i == j else 0)
+
+
+def test_character_table_matches_alternant():
+    for n in range(9):
         t = character_table(n)
         for lam in t.shapes:
-            for nu in t.shapes:
-                inner = sum(
-                    Fraction(t.value(lam, mu) * t.value(nu, mu), z_mu(mu))
-                    for mu in t.shapes
-                )
-                assert inner == (1 if lam == nu else 0)
+            for mu in t.shapes:
+                assert t.value(lam, mu) == alternant_char(lam, mu)
 
 
 def test_character_table_kronecker_coefficients():

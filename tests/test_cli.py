@@ -13,6 +13,7 @@ import pathmn.cli
 from pathmn import (
     PATH,
     POWER,
+    ParseError,
     PartialPermutation,
     SymExpansion,
     atomic_schur,
@@ -20,6 +21,7 @@ from pathmn import (
     char_eval,
     clear_caches,
     p_in_path_basis,
+    parse_partition,
     parse_pp,
     path_power_to_schur,
     power_to_schur,
@@ -28,6 +30,7 @@ from pathmn import (
     symmetrize,
 )
 from pathmn.cli import main
+from pathmn.errors import effective_limit
 
 A7_PP = "1,4,5,6,7 -> 2,5,6,4,7"
 
@@ -224,6 +227,30 @@ def test_part_past_the_digit_limit_is_a_parse_error(capsys):
             assert err.startswith("error: partition token too long")
     finally:
         set_limit(old)
+
+
+def test_huge_multiplicity_is_refused_before_the_list(capsys, monkeypatch):
+    _, err = run_cli(capsys, ["path-expand", "2^99999999999999999999"], expect_rc=2)
+    assert err == "error: more than 10000000 parts in '2^99999999999999999999'\n"
+    out, _ = run_cli(capsys, ["char", "1^1200", "--pp", "1,2 -> 2,1", "--n", "1200"])
+    assert out == "0\n"
+    # the count runs over every token
+    monkeypatch.setattr("pathmn.partitions._MAX_PARSED_PARTS", 5)
+    assert parse_partition("2^3 1^2") == (2, 2, 2, 1, 1)
+    with pytest.raises(ParseError, match="more than 5 parts"):
+        parse_partition("2^3 1^3")
+
+
+def test_guard_override_is_read_at_each_call(monkeypatch):
+    monkeypatch.delenv("PATHMN_MAX_N", raising=False)
+    assert effective_limit(5) == 5
+    monkeypatch.setenv("PATHMN_MAX_N", "7")
+    assert effective_limit(5) == 7
+    monkeypatch.setenv("PATHMN_MAX_N", "seven")
+    with pytest.raises(ParseError, match="PATHMN_MAX_N must be an integer"):
+        effective_limit(5)
+    monkeypatch.delenv("PATHMN_MAX_N")
+    assert effective_limit(5) == 5
 
 
 def test_empty_partial_permutation(capsys):

@@ -109,6 +109,32 @@ def test_ribbon_step_matches_cell_brute():
                 assert set(got) == expect
 
 
+def test_ribbon_step_memo_returns_the_computed_steps():
+    clear_caches()
+    steps = [(_mask(lam), r) for n in range(11) for lam in partitions_list(n) for r in range(1, 11)]
+    for _ in range(2):  # the second round reads every step from the memo
+        for m, r in steps:
+            got = _ribbon_step(m, r)
+            assert type(got) is tuple
+            assert got == _ribbon_step.__wrapped__(m, r)
+    info = _ribbon_step.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (len(steps), len(steps), len(steps))
+
+
+def test_ribbon_step_memo_evicts_within_its_bound():
+    maxsize = _ribbon_step.cache_parameters()["maxsize"]
+    shapes = [_mask(lam) for n in range(16) for lam in partitions_list(n)]
+    every = ((m, r) for r in itertools.count(1) for m in shapes)
+    steps = list(itertools.islice(every, maxsize + 500))
+    clear_caches()
+    # the first steps are evicted by the last ones and stepped again
+    for m, r in steps + steps[:1000]:
+        assert _ribbon_step(m, r) == _ribbon_step.__wrapped__(m, r)
+    info = _ribbon_step.cache_info()
+    assert info.currsize == maxsize
+    assert info.misses > len(steps)
+
+
 def test_mask_round_trip():
     wide = [(1200,), (1199, 1), (1197, 2, 1), (1190, 4, 3, 3), (1201, 1, 1, 1, 1, 1)]
     for lam in [mu for n in range(15) for mu in partitions_list(n)] + wide:
@@ -423,6 +449,7 @@ def test_clear_caches_is_safe():
         if hasattr(obj, "cache_info") and getattr(obj, "__module__", None) == name
     }
     assert set(memos) >= {
+        "pathmn.ribbons._ribbon_step",
         "pathmn.ribbons.tiling_tally",
         "pathmn.ribbons._frozen_prefixes",
         "pathmn.symfunc._p_to_schur",
