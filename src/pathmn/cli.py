@@ -12,11 +12,10 @@ import argparse
 import json
 import os
 import sys
-from decimal import Decimal
 from fractions import Fraction
 
 from pathmn import characters, oracles, ribbons, statistics, symfunc
-from pathmn.errors import GuardError, OracleMismatch, ParseError
+from pathmn.errors import GuardError, OracleMismatch, ParseError, int_text, read_int
 from pathmn.partial_perm import parse_pp
 from pathmn.partitions import format_partition, parse_composition, parse_partition
 from pathmn.symfunc import PATH, POWER, SymExpansion
@@ -60,28 +59,28 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help='partial permutation, e.g. "1,4 -> 2,5"; write the empty one as --pp="->"',
     )
-    p.add_argument("--n", type=int, required=True, help="ambient size")
+    p.add_argument("--n", required=True, help="ambient size")
     add_format(p)
 
     p = sub.add_parser("char", help="single character value chi^lam([I, J])")
     p.add_argument("lam")
     p.add_argument("--pp", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", required=True)
     add_format(p, expansion=False)
 
     p = sub.add_parser("table", help="character table of S_n")
-    p.add_argument("n", type=int)
+    p.add_argument("n")
     add_format(p, expansion=False)
 
     p = sub.add_parser("stat", help="symmetrize a statistic: print ch_n(R f^moment)")
     p.add_argument("stat", help='"exc", "maj", or a JSON statistic file')
-    p.add_argument("--n", type=int, help="ambient size (required for builtins)")
-    p.add_argument("--moment", type=int, default=1)
+    p.add_argument("--n", help="ambient size (required for builtins)")
+    p.add_argument("--moment", default="1")
     add_format(p)
 
     p = sub.add_parser("oracle-check", help="cross-validate fast rules against oracles")
     p.add_argument("scope", choices=[*oracles.ORACLE_CHECKS, "all"])
-    p.add_argument("--max-n", type=int, default=5)
+    p.add_argument("--max-n", default="5")
 
     return parser
 
@@ -143,15 +142,14 @@ def _cmd_p_expand(args):
 
 
 def _cmd_atomic(args):
-    pp = parse_pp(args.pp, args.n)
+    pp = parse_pp(args.pp, read_int(args.n, "--n"))
     _print_expansion(characters.atomic_schur(pp), args)
 
 
 def _cmd_char(args):
     lam = parse_partition(args.lam)
-    pp = parse_pp(args.pp, args.n)
-    # Decimal prints an int in full, also past CPython's 4300-digit str(int) limit
-    value = Decimal(characters.char_eval(lam, pp))
+    pp = parse_pp(args.pp, read_int(args.n, "--n"))
+    value = int_text(characters.char_eval(lam, pp))
     if args.format == "json":
         print(f'{{"lam": {json.dumps(list(lam))}, "value": {value}}}')
     elif args.format == "csv":
@@ -162,7 +160,7 @@ def _cmd_char(args):
 
 
 def _cmd_table(args):
-    table = characters.character_table(args.n)
+    table = characters.character_table(read_int(args.n, "n"))
     if args.format == "json":
         print(table.to_json())
     elif args.format == "csv":
@@ -172,10 +170,11 @@ def _cmd_table(args):
 
 
 def _cmd_stat(args):
+    moment = read_int(args.moment, "--moment")
     if args.stat in ("exc", "maj"):
         if args.n is None:
             raise ParseError(f'builtin statistic "{args.stat}" needs --n')
-        f = statistics.builtin(args.stat, args.n)
+        f = statistics.builtin(args.stat, read_int(args.n, "--n"))
     else:
         try:
             with open(args.stat, encoding="utf-8") as fh:
@@ -183,23 +182,24 @@ def _cmd_stat(args):
         except OSError as e:
             raise ParseError(f"cannot read statistic file: {e}") from None
         f = statistics.stat_from_json(text)
-        if args.n is not None and args.n != f.n:
+        if args.n is not None and read_int(args.n, "--n") != f.n:
             raise ParseError(f"--n {args.n} disagrees with the file's n = {f.n}")
-    if args.moment < 1:
-        raise ParseError(f"--moment must be >= 1, got {args.moment}")
+    if moment < 1:
+        raise ParseError(f"--moment must be >= 1, got {moment}")
     power = f
-    for _ in range(args.moment - 1):
+    for _ in range(moment - 1):
         power = statistics.stat_product(power, f)
     cf = statistics.symmetrize(power)
     _print_expansion(cf.schur, args)
 
 
 def _cmd_oracle_check(args):
-    if args.max_n < 0:
-        raise ParseError(f"--max-n must be >= 0, got {args.max_n}")
+    max_n = read_int(args.max_n, "--max-n")
+    if max_n < 0:
+        raise ParseError(f"--max-n must be >= 0, got {max_n}")
     scopes = list(oracles.ORACLE_CHECKS) if args.scope == "all" else [args.scope]
     for scope in scopes:
-        print(f"{scope}: OK ({oracles.ORACLE_CHECKS[scope](args.max_n)} comparisons)")
+        print(f"{scope}: OK ({oracles.ORACLE_CHECKS[scope](max_n)} comparisons)")
 
 
 _HANDLERS = {

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from pathmn.errors import ParseError
+from pathmn.errors import ParseError, read_int
 from pathmn.partitions import partitions_of, syt_count
 
 __all__ = [
@@ -162,8 +162,8 @@ def parse_pp(text: str, n: int) -> PartialPermutation:
         if not s:
             return ()
         try:
-            return tuple(int(tok) for tok in re.split(r"[,\s]+", s) if tok)
-        except ValueError:
+            return tuple(map(read_int, s.replace(",", " ").split()))
+        except ParseError:
             raise ParseError(f"bad index list {s!r} in {text!r}") from None
 
     return PartialPermutation(n, side(pieces[0]), side(pieces[1]))

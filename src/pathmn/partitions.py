@@ -14,7 +14,7 @@ import math
 import re
 from typing import Iterator
 
-from pathmn.errors import ParseError, check_guard
+from pathmn.errors import ParseError, check_guard, read_int
 
 __all__ = [
     "is_partition",
@@ -190,10 +190,11 @@ def contains(outer, inner) -> bool:
     return all(inner[i] <= outer[i] for i in range(len(inner)))
 
 
-_TOKEN = re.compile(r"^(\d+)(?:\^(\d+))?$")
+_TOKEN = re.compile(r"([0-9]+)(?:\^([0-9]+))?")
 # Refused before the list is built, which at 10^7 parts would hold 80 MB
 # before any guard counted them; char 1^(10^6) already runs for tens of seconds.
 _MAX_PARSED_PARTS = 10**7
+_MAX_TOKEN = 40  # refused unread: parts fit an index-sized int, multiplicities are <= 10^7
 
 
 def _parse_parts(text: str) -> tuple:
@@ -207,14 +208,13 @@ def _parse_parts(text: str) -> tuple:
     for token in re.split(r"[,\s]+", text):
         if not token:
             continue
-        m = _TOKEN.match(token)
+        m = _TOKEN.fullmatch(token)
         if not m:
             raise ParseError(f"bad partition token {token!r} in {text!r}")
-        try:
-            base = int(m.group(1))
-            mult = int(m.group(2)) if m.group(2) else 1
-        except ValueError:  # past CPython's 4300-digit int(str) limit
-            raise ParseError(f"partition token too long in {text!r}") from None
+        if len(token) > _MAX_TOKEN:
+            raise ParseError(f"partition token too long in {text!r}")
+        base = read_int(m[1], "a part")
+        mult = read_int(m[2], "a multiplicity", size=False) if m[2] else 1
         if base < 1:
             raise ParseError(f"parts must be positive, got {base} in {text!r}")
         if len(parts) + mult > _MAX_PARSED_PARTS:

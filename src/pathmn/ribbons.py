@@ -148,9 +148,14 @@ def _ribbon_chains(terms, alpha, within=None) -> dict:
     """Add one ribbon of each size in alpha, in order, to every shape of a
     {mask: coefficient} dict, dropping zeros; with a mask within given, keep
     only shapes inside it (a chain only grows, so no chain ending inside is lost).
-    Refused once a step leaves more than _MAX_SHAPES shapes."""
+    Refused once a step leaves more than _MAX_SHAPES shapes. One step from a
+    shape leaves at least r shapes (the top bead of each of the r runners of
+    the abacus moves), so without within an r past the limit is refused
+    before the step is built."""
     limit = effective_limit(_MAX_SHAPES)
     for r in alpha:
+        if within is None and terms and r > limit:
+            raise refusal("ribbon chain shapes", f"at least {r}", limit)
         out = {}
         for m, c in terms.items():
             for q, sign, _, _ in _ribbon_step(m, r):
@@ -237,13 +242,16 @@ def _monotonic_walk(mu, min_tail_row, extra_ones):
     """enumerate_monotonic on masks: yields the live list of steps (mask, size,
     tail row, tail column, sign so far), root first, and the live dict of sizes
     left to place; both change when the walk resumes. Refused past _MAX_NODES
-    nodes (calls of dfs)."""
+    nodes (calls of dfs), and before any step when a part alone must pass them."""
     remaining = multiplicities(mu)
     if extra_ones:
         remaining[1] = remaining.get(1, 0) + extra_ones
     steps = [(0, 0, math.inf, 0, 1)]
     limit = effective_limit(_MAX_NODES)
     nodes = itertools.count(1)
+    # the root's step of size r alone has r - 1 or more children, so it must pass the limit
+    if max(remaining, default=0) > limit:
+        raise refusal("monotonic walk nodes", limit + 1, limit)
 
     def dfs(left):
         if next(nodes) > limit:

@@ -15,12 +15,12 @@ from fractions import Fraction
 from itertools import combinations, zip_longest
 
 from pathmn.characters import _atomic_from_type
-from pathmn.errors import ParseError, check_guard
+from pathmn.errors import ParseError, check_guard, int_text, json_fields, read_int
 # decompose is unused here but stays bound: perfbench's tracer test looks for it
 from pathmn.partial_perm import IndicatorTerm, PartialPermutation, _graph_type, decompose
 from pathmn.partitions import check_partition
 from pathmn.ribbons import _mask, memo
-from pathmn.symfunc import _MAX_PARTS, SymExpansion, _int_text, _p_to_schur, _text_int
+from pathmn.symfunc import SymExpansion, _check_parts, _p_to_schur
 
 __all__ = [
     "Statistic",
@@ -53,9 +53,12 @@ class Statistic:
     @property
     def terms(self) -> tuple:
         """The IndicatorTerms, sorted by (k, I, J)."""
-        rows = sorted((len(p), [i for i, _ in p], [j for _, j in p], c) for p, c in self.nums)
         return tuple(IndicatorTerm(Fraction(c, self.den), PartialPermutation(self.n, I, J))
-                     for _, I, J, c in rows)
+                     for _, I, J, c in self._rows())
+
+    def _rows(self) -> list:
+        """(k, I, J, num) per term, sorted by (k, I, J)."""
+        return sorted((len(p), [i for i, _ in p], [j for _, j in p], c) for p, c in self.nums)
 
 
 @dataclass(frozen=True)
@@ -160,7 +163,7 @@ def class_eval(cf: ClassFunction, mu) -> Fraction:
     mu = check_partition(tuple(sorted(mu, reverse=True)))
     if sum(mu) != cf.n:
         raise ParseError(f"|mu| = {sum(mu)} but the class function lives on S_{cf.n}")
-    check_guard(len(mu), _MAX_PARTS, "number of parts")
+    _check_parts(len(mu))
     # chains that end in the support stay inside its componentwise maximum
     column = _p_to_schur(mu, _mask(tuple(map(max, zip_longest(*cf.schur.terms, fillvalue=0)))))
     return Fraction(sum(c * column.get(_mask(lam), 0) for lam, c in cf.schur.terms.items()))
@@ -183,48 +186,32 @@ def eval_pointwise(f: Statistic, w) -> Fraction:
 
 
 def stat_to_json(f: Statistic) -> str:
-    return json.dumps(
-        {
-            "n": f.n,
-            "terms": [
-                {
-                    "coeff": f"{_int_text(t.coeff.numerator)}/{_int_text(t.coeff.denominator)}",
-                    "I": list(t.pp.I),
-                    "J": list(t.pp.J),
-                }
-                for t in f.terms
-            ],
-        }
-    )
+    terms = []
+    for _, I, J, c in f._rows():
+        g = math.gcd(c, f.den)
+        terms.append({"coeff": f"{int_text(c // g)}/{int_text(f.den // g)}", "I": I, "J": J})
+    return json.dumps({"n": f.n, "terms": terms})
 
 
 def stat_from_json(text: str) -> Statistic:
-    try:
-        # numbers stay text: int() then reads past the digit limit and refuses 3.9 or 3.0,
-        # and a decimal coefficient keeps its exact value
-        data = json.loads(text, parse_int=str, parse_float=str)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}") from None
-    try:
-        n = int(data["n"])
-        terms = [
-            IndicatorTerm(
-                _text_fraction(str(t["coeff"])),
-                PartialPermutation(n, tuple(int(v) for v in t["I"]), tuple(int(v) for v in t["J"])),
-            )
-            for t in data["terms"]
-        ]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
-        raise ParseError(f"malformed statistic object: {e}") from None
-    return make_statistic(n, terms)
+    with json_fields(text, "statistic") as data:
+        n = read_int(data["n"], "n")
+        terms = []
+        for t in data["terms"]:
+            if type(t["I"]) is not list or type(t["J"]) is not list:
+                raise TypeError(f"I and J must be lists, got {t['I']!r} and {t['J']!r}")
+            I, J = (tuple(read_int(v, "an index") for v in t[k]) for k in "IJ")
+            terms.append(IndicatorTerm(_coeff(str(t["coeff"])), PartialPermutation(n, I, J)))
+        return make_statistic(n, terms)
 
 
-def _text_fraction(text: str) -> Fraction:
-    """Fraction(text), also for "num/den" past the digit limit."""
-    try:
-        return Fraction(text)
-    except ValueError:
-        num, slash, den = text.partition("/")
-        if slash and not den.strip().isdecimal():
-            raise
-        return Fraction(_text_int(num), _text_int(den or "1"))
+def _coeff(text: str) -> Fraction:
+    """A term's coeff: "num/den" as stat_to_json writes it, or an integer, read
+    exactly at any length by read_int; any other spelling as Fraction reads it."""
+    num, slash, den = text.partition("/")
+    if not den.startswith("-"):
+        try:
+            return Fraction(read_int(num, size=False), read_int(den, size=False) if slash else 1)
+        except ParseError:
+            pass
+    return Fraction(text)

@@ -5,21 +5,23 @@ coefficients, keyed by partitions. Schur-basis expansions are closed under
 multiplication by a power sum p_r (ribbon additions), which is all the
 multiplication the package needs; conversions between the classical power
 sums, the path power sums, and the Schur basis live here too. An expansion
-prints itself in each output format: render(), to_json() and to_csv().
+prints itself in each output format: render(), to_json() and to_csv(), its
+integers through errors.int_text, their shared factor converted once; from_json
+reads them back through errors.read_int.
 
 Ribbons are added by the chain and the walk of ribbons, which count the shapes
-and nodes they hold; the power sums here guard only their number of parts.
+and nodes they hold; the power sums here guard only their number of parts, a
+limit PATHMN_MAX_N lowers but never raises (each part is a recursion level).
 """
 
 import csv
 import io
 import json
 import math
-import re
 from decimal import MAX_EMAX, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 
-from pathmn.errors import ParseError, check_guard
+from pathmn.errors import GuardError, ParseError, effective_limit, int_text, json_fields, read_int
 from pathmn.partitions import (
     check_composition,
     check_partition,
@@ -56,36 +58,13 @@ DOT = "·"
 MINUS = "−"
 
 
-# CPython refuses str(int) and int(str) past 4300 digits unless the limit is
-# lifted for the whole interpreter; Decimal converts either way without it.
-_INT_TEXT = re.compile(r"\s*[+-]?[0-9]+\s*")
-
-
-def _int_text(v: int) -> str:
-    """Decimal digits of v, in full at any size."""
-    try:
-        return str(v)
-    except ValueError:
-        return str(Decimal(v))
-
-
-def _text_int(text) -> int:
-    """int(text), also past the digit limit."""
-    try:
-        return int(text)
-    except ValueError:
-        if not (isinstance(text, str) and _INT_TEXT.fullmatch(text)):
-            raise
-        return int(Decimal(text))
-
-
 # Below this size of common factor, converting each value is as fast
 # (break-even measured between 1500 and 2000 bits on CPython 3.10-3.13).
 _SHARED_BITS = 2048
 
 
 def _ints_text(values) -> list:
-    """[_int_text(v) for v in values], converting their common factor once.
+    """[int_text(v) for v in values], converting their common factor once.
 
     Expansion coefficients at large n share a huge factor ((n - r)! times a
     polynomial), and int -> text is quadratic in the digits. The factor g is
@@ -94,7 +73,7 @@ def _ints_text(values) -> list:
     """
     g = math.gcd(*values)
     if g.bit_length() < _SHARED_BITS:
-        return [_int_text(v) for v in values]
+        return [int_text(v) for v in values]
     # 3 bits per digit over-counts, so no product is ever rounded
     digits = max(v.bit_length() for v in values) // 3 + 2
     ctx = Context(prec=digits, Emax=MAX_EMAX, traps=[Inexact, Rounded])
@@ -184,7 +163,7 @@ class SymExpansion:
         pieces = []
         for (lam, c), coeff in zip(items, _ints_text([abs(c.numerator) for _, c in items])):
             if c.denominator != 1:
-                coeff = f"({coeff}/{_int_text(c.denominator)})"
+                coeff = f"({coeff}/{int_text(c.denominator)})"
             pieces.append((c < 0, f"{coeff}{DOT}{sym}{format_partition(lam)}"))
         if long:
             return "\n".join((MINUS if neg else "") + body for neg, body in pieces)
@@ -204,7 +183,7 @@ class SymExpansion:
                 "basis": self.basis,
                 "degree": self.degree,
                 "terms": [
-                    {"partition": list(lam), "num": num, "den": _int_text(c.denominator)}
+                    {"partition": list(lam), "num": num, "den": int_text(c.denominator)}
                     for (lam, c), num in zip(items, _ints_text([c.numerator for _, c in items]))
                 ],
             }
@@ -217,25 +196,20 @@ class SymExpansion:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["partition", "num", "den"])
         for (lam, c), num in zip(items, _ints_text([c.numerator for _, c in items])):
-            writer.writerow([format_partition(lam), num, _int_text(c.denominator)])
+            writer.writerow([format_partition(lam), num, int_text(c.denominator)])
         return buf.getvalue()
 
     @classmethod
     def from_json(cls, text: str) -> "SymExpansion":
-        try:
-            # numbers stay text: int() then reads past the digit limit and refuses 1.5
-            data = json.loads(text, parse_int=str, parse_float=str)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e}") from None
-        try:
+        with json_fields(text, "expansion") as data:
             terms = {}
             for t in data["terms"]:
-                lam = tuple(int(p) for p in t["partition"])
-                c = Fraction(_text_int(t["num"]), _text_int(t["den"]))
-                terms[lam] = terms.get(lam, 0) + c
-            return cls(data["basis"], int(data["degree"]), terms)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
-            raise ParseError(f"malformed expansion object: {e}") from None
+                if type(t["partition"]) is not list:
+                    raise TypeError(f"partition must be a list, got {t['partition']!r}")
+                lam = tuple(read_int(p, "a part") for p in t["partition"])
+                num, den = (read_int(t[k], k, size=False) for k in ("num", "den"))
+                terms[lam] = terms.get(lam, 0) + Fraction(num, den)
+            return cls(data["basis"], read_int(data["degree"], "degree"), terms)
 
 
 def mult_by_power(f: SymExpansion, r: int) -> SymExpansion:
@@ -256,11 +230,20 @@ def _p_to_schur(mu, within) -> dict:
     return _ribbon_chains(_p_to_schur(mu[1:], within), mu[:1], within)
 
 
+def _check_parts(count):
+    """The part guard. _p_to_schur and the tiling walk recurse once per part,
+    so PATHMN_MAX_N can lower this limit but not raise it past _MAX_PARTS."""
+    limit = min(effective_limit(_MAX_PARTS), _MAX_PARTS)
+    if count > limit:
+        raise GuardError(f"number of parts = {count} exceeds the guard limit {limit}"
+                         " (one recursion level per part; PATHMN_MAX_N can only lower it)")
+
+
 def power_to_schur(f: SymExpansion) -> SymExpansion:
     """Rewrite a power-basis expansion in the Schur basis, term by term."""
     if f.basis != POWER:
         raise ParseError("power_to_schur needs a power-basis expansion")
-    check_guard(max(map(len, f.terms), default=0), _MAX_PARTS, "number of parts")
+    _check_parts(max(map(len, f.terms), default=0))
     out = {}
     for mu, c in f.terms.items():
         for m, v in _p_to_schur(mu, None).items():
@@ -307,7 +290,7 @@ def path_power_to_schur(mu) -> SymExpansion:
     """Schur expansion of the path power sum: m(mu)! times the signed tally of
     monotonic ribbon tilings with size multiset mu, grouped by shape."""
     mu = check_partition(tuple(sorted(mu, reverse=True)))
-    check_guard(len(mu), _MAX_PARTS, "number of parts")
+    _check_parts(len(mu))
     m = mult_factorial(mu)
     tally = tiling_tally(mu)
     return SymExpansion(SCHUR, sum(mu), {shape: m * c for shape, c in tally.items()})

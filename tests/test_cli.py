@@ -6,13 +6,17 @@ import pathlib
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 import pathmn.cli
+import pathmn.ribbons
 from pathmn import (
     PATH,
     POWER,
+    SCHUR,
+    GuardError,
     ParseError,
     PartialPermutation,
     SymExpansion,
@@ -25,12 +29,13 @@ from pathmn import (
     parse_pp,
     path_power_to_schur,
     power_to_schur,
+    stat_from_json,
     stat_product,
     stat_to_json,
     symmetrize,
 )
 from pathmn.cli import main
-from pathmn.errors import effective_limit
+from pathmn.errors import check_guard, effective_limit
 
 A7_PP = "1,4,5,6,7 -> 2,5,6,4,7"
 
@@ -557,3 +562,148 @@ def test_cli_reads_no_private_names_of_the_package():
             if isinstance(root, ast.Name) and root.id in bound:
                 private.append(ast.unparse(node))
     assert private == []
+
+
+@pytest.fixture
+def digit_limit():
+    """Pin CPython's int<->str digit limit for one test; restored afterwards."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        pytest.skip("this Python has no int<->str digit limit")
+    old = sys.get_int_max_str_digits()
+    yield set_limit
+    set_limit(old)
+
+
+# (spelling as command-line text, spelling in a JSON field that holds a list)
+BIG = "9" * 5000
+MALFORMED = {
+    "true": ("true", "[true]"),
+    "float": ("1.5", "[1.5]"),
+    "plus": ("+3", '["+3"]'),
+    "underscore": ("1_0", '["1_0"]'),
+    "arabic-indic digit": ("٣", '["٣"]'),
+    "string for a list": ('"21"', '"21"'),
+    "20-digit size": ("9" * 20, f"[{'9' * 20}]"),
+    "5000-digit part, limit 4300": (BIG, f"[{BIG}]"),
+    "5000-digit part, limit 0": (BIG, f"[{BIG}]"),
+}
+
+
+def _cli_refuses(capsys, argv, env=None, monkeypatch=None):
+    if env is not None:
+        monkeypatch.setenv("PATHMN_MAX_N", env)
+    run_cli(capsys, argv, expect_rc=2)
+
+
+def _json_refuses(read, text):
+    with pytest.raises(ParseError):
+        read(text)
+
+
+READERS = {
+    "partition": lambda capsys, mp, cli, js: _cli_refuses(capsys, ["path-expand", cli]),
+    "--pp": lambda capsys, mp, cli, js: _cli_refuses(capsys, ["atomic", "--pp", f"1 -> {cli}", "--n", "3"]),
+    "--n": lambda capsys, mp, cli, js: _cli_refuses(capsys, ["atomic", "--pp", "1 -> 2", "--n", cli]),
+    "table n": lambda capsys, mp, cli, js: _cli_refuses(capsys, ["table", cli]),
+    "PATHMN_MAX_N": lambda capsys, mp, cli, js: _cli_refuses(capsys, ["p-expand", "2"], cli, mp),
+    "SymExpansion.from_json": lambda capsys, mp, cli, js: _json_refuses(
+        SymExpansion.from_json,
+        f'{{"basis": "schur", "degree": 1, "terms": [{{"partition": {js}, "num": "1", "den": "1"}}]}}'),
+    "stat_from_json": lambda capsys, mp, cli, js: _json_refuses(
+        stat_from_json, f'{{"n": 3, "terms": [{{"coeff": "1", "I": {js}, "J": [2]}}]}}'),
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("spelling", MALFORMED)
+def test_every_reader_refuses_every_malformed_integer(capsys, monkeypatch, digit_limit, reader, spelling):
+    digit_limit(0 if spelling.endswith("limit 0") else 4300)
+    READERS[reader](capsys, monkeypatch, *MALFORMED[spelling])
+
+
+def test_the_integer_grammar_was_looser_before(capsys, monkeypatch):
+    # each of these read a wrong value, or ended with an internal error (exit 1)
+    for text in ("1_0 -> ٢", "+3 -> 1"):
+        with pytest.raises(ParseError, match="bad index list"):
+            parse_pp(text, 20)
+    with pytest.raises(ParseError, match="bad partition token '٣'"):
+        parse_partition("٣,1")
+    _, err = run_cli(capsys, ["atomic", "--pp", "1 -> 2", "--n", "2_0"], expect_rc=2)
+    assert err == "error: --n must be an integer, got '2_0'\n"
+    for argv in (["path-expand", "9" * 20], ["p-expand", "9" * 20],
+                 ["atomic", "--pp=1->2", "--n", "9" * 20], ["char", "9" * 20, "--pp=->", "--n", "9" * 20]):
+        _, err = run_cli(capsys, argv, expect_rc=2)
+        assert err.endswith(f"must fit an index-sized int, got {'9' * 20}\n")
+    monkeypatch.setenv("PATHMN_MAX_N", "1_000")
+    _, err = run_cli(capsys, ["p-expand", "2"], expect_rc=2)
+    assert err == "error: PATHMN_MAX_N must be an integer, got '1_000'\n"
+    bad_expansions = [
+        '{"basis": "schur", "degree": 2, "terms": [{"partition": [true, true], "num": true, "den": true}]}',
+        '{"basis": "schur", "degree": 2, "terms": [{"partition": [1, 1], "num": true, "den": 1}]}',
+        '{"basis": "schur", "degree": 3, "terms": [{"partition": "21", "num": 1, "den": 1}]}',
+        '{"basis": "schur", "degree": true, "terms": []}',
+    ]
+    for text in bad_expansions:
+        with pytest.raises(ParseError, match="malformed expansion object"):
+            SymExpansion.from_json(text)
+    for text in ('{"n": true, "terms": []}', '{"n": 3, "terms": [{"coeff": 1, "I": [true], "J": [2]}]}',
+                 '{"n": 3, "terms": [{"coeff": 1, "I": "12", "J": [2, 3]}]}'):
+        with pytest.raises(ParseError, match="malformed statistic object"):
+            stat_from_json(text)
+
+
+def test_plain_integer_spellings_keep_their_values(capsys, monkeypatch):
+    assert parse_pp("[01, 2] -> 002 1", 3) == PartialPermutation(3, (1, 2), (2, 1))
+    assert parse_partition("03,2^0 1") == (3, 1)
+    out, _ = run_cli(capsys, ["atomic", "--pp", "1 -> 2", "--n", "003"])
+    assert out == "2·s[3] − 1·s[2,1]\n"
+    monkeypatch.setenv("PATHMN_MAX_N", "-1")
+    with pytest.raises(GuardError):
+        check_guard(0, 5, "x")
+    assert SymExpansion.from_json(
+        '{"basis": "schur", "degree": "2", "terms": [{"partition": ["2"], "num": -3, "den": "-2"}]}'
+    ) == SymExpansion(SCHUR, 2, {(2,): Fraction(3, 2)})
+
+
+def test_part_guard_is_never_raised_by_the_override(capsys, monkeypatch):
+    # _p_to_schur and the tiling walk recurse once per part: these died with RecursionError
+    monkeypatch.setenv("PATHMN_MAX_N", "100000")
+    for argv in (["p-expand", "1^1200"], ["path-expand", "2^1200"], ["p-expand", "2^990"]):
+        _, err = run_cli(capsys, argv, expect_rc=3)
+        assert err.startswith(f"refused: number of parts = {argv[1][2:]} exceeds the guard limit 400 ")
+    out, _ = run_cli(capsys, ["path-expand", "1^400"])
+    assert out == f"{math.factorial(400)}·s[400]\n"
+    # it still lowers the guard
+    monkeypatch.setenv("PATHMN_MAX_N", "3")
+    _, err = run_cli(capsys, ["p-expand", "1^4"], expect_rc=3)
+    assert err.startswith("refused: number of parts = 4 exceeds the guard limit 3 ")
+
+
+def test_a_step_past_the_limit_is_refused_before_it_is_built(capsys, monkeypatch):
+    # one r-ribbon step from any shape leaves at least r shapes; p-expand 20000
+    # built all 20000 hooks (3.6 s, 71 MB) before it was refused, and
+    # p-expand 3000000000 and path-expand 200000 died with MemoryError
+    step = pathmn.ribbons._ribbon_step
+    sizes = []
+
+    def spy(m, r):
+        sizes.append(r)
+        return step(m, r)
+
+    monkeypatch.setattr(pathmn.ribbons, "_ribbon_step", spy)
+    for r in ("20000", "3000000000"):
+        _, err = run_cli(capsys, ["p-expand", r], expect_rc=3)
+        assert err == (f"refused: ribbon chain shapes = at least {r} exceeds the guard limit 5604"
+                       " (set PATHMN_MAX_N to override)\n")
+    _, err = run_cli(capsys, ["path-expand", "200000"], expect_rc=3)
+    assert err == NODES_100K
+    # the frozen walk of a path's core too: one path of 60 vertices, at most 50 nodes
+    monkeypatch.setenv("PATHMN_MAX_N", "50")
+    _, err = run_cli(capsys, ["atomic", "--pp", paths_pp((60,)), "--n", "60"], expect_rc=3)
+    assert err == "refused: monotonic walk nodes = 51 exceeds the guard limit 50 (set PATHMN_MAX_N to override)\n"
+    assert sizes == []
+    # a step within the limit is built: p_50 is the sum of its 50 hooks
+    clear_caches()
+    out, _ = run_cli(capsys, ["p-expand", "50", "--format", "csv"])
+    assert out.count("\n") == 51 and sizes == [50]

@@ -23,6 +23,7 @@ from pathmn import (
     power_to_schur,
     symmetrize,
 )
+from pathmn.errors import ParseError, int_text, read_int
 from brute import components_type
 
 # the same examples on every run, none saved to disk, so tier-1 stays deterministic
@@ -104,5 +105,27 @@ def test_json_round_trip_with_huge_coefficients(pp, n):
         assert SymExpansion.from_json(e.to_json()) == e
         e.render()
         e.to_csv()
+    finally:
+        set_limit(old)
+
+
+@settings(SEEDED, max_examples=40)
+@given(st.integers(-(10**6000), 10**6000) | st.integers(-(2**70), 2**70), st.sampled_from([4300, 0]))
+def test_integer_codec_round_trip(v, limit):
+    # the writer prints any int in full and the reader reads it back exactly,
+    # under CPython's default int<->str digit limit and with the limit lifted
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        pytest.skip("this Python has no int<->str digit limit")
+    old = sys.get_int_max_str_digits()
+    set_limit(limit)
+    try:
+        text = int_text(v)
+        assert read_int(text, size=False) == v
+        if -sys.maxsize - 1 <= v <= sys.maxsize:
+            assert read_int(text) == v
+        else:
+            with pytest.raises(ParseError, match="must fit an index-sized int"):
+                read_int(text)
     finally:
         set_limit(old)

@@ -461,3 +461,15 @@ def test_clear_caches_is_safe():
     clear_caches()
     assert {k: m.cache_info().currsize for k, m in memos.items()} == dict.fromkeys(memos, 0)
     assert skew_mn((4, 3, 1), (3, 2, 2, 1)) == before
+
+
+def test_one_step_leaves_at_least_r_shapes():
+    # the top bead of each of the r runners moves: the chain refuses r past its
+    # limit before building the step, and the walk a part past its node limit
+    for n in range(11):
+        for lam in partitions_list(n):
+            for r in range(1, 16):
+                assert len(_ribbon_step.__wrapped__(_mask(lam), r)) >= r
+    for r in range(1, 16):
+        hooks = _ribbon_step.__wrapped__(0, r)
+        assert len(hooks) == r and sum(row >= 2 for _, _, row, _ in hooks) == r - 1

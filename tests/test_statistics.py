@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 import sys
@@ -569,3 +570,25 @@ def test_json_round_trip_past_the_digit_limit():
         assert stat_from_json(literal).terms[0].coeff == 10**5000
     finally:
         set_limit(old)
+
+
+def test_stat_to_json_writes_what_the_terms_wrote():
+    # stat_to_json reads nums directly; the reference goes through the IndicatorTerms
+    def reference(f):
+        return json.dumps({"n": f.n, "terms": [
+            {"coeff": f"{t.coeff.numerator}/{t.coeff.denominator}", "I": list(t.pp.I), "J": list(t.pp.J)}
+            for t in f.terms]})
+
+    stats = [builtin(name, n) for name in ("exc", "maj") for n in range(1, 6)]
+    stats += [stat_product(f, f) for f in stats[:8]]
+    rng = random.Random(15)
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        terms = []
+        for _ in range(rng.randint(1, 5)):
+            k = rng.randint(0, n)
+            I, J = rng.sample(range(1, n + 1), k), rng.sample(range(1, n + 1), k)
+            terms.append(term(n, Fraction(rng.randint(-9, 9), rng.randint(1, 12)), I, J))
+        stats.append(make_statistic(n, terms))
+    for f in stats:
+        assert stat_to_json(f) == reference(f)

@@ -28,9 +28,10 @@ from pathmn import (
     stable_expansion,
     symfunc,
 )
+from pathmn.errors import int_text as _int_text
 from pathmn.partitions import contains
 from pathmn.ribbons import _mask, _shape, _stable_terms
-from pathmn.symfunc import _SHARED_BITS, _int_text, _ints_text, _p_to_schur
+from pathmn.symfunc import _SHARED_BITS, _ints_text, _p_to_schur
 
 
 def test_constructor_validation():
