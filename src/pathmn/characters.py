@@ -62,11 +62,14 @@ def atomic_schur(pp: PartialPermutation) -> SymExpansion:
 
 
 def char_eval(lam, pp: PartialPermutation) -> int:
-    """chi^lam([I,J]): the coefficient of s_lam in the atomic expansion."""
+    """chi^lam([I,J]): remove the cycle parts from lam, read the path factor at what is left."""
     lam = check_partition(lam)
     if sum(lam) != pp.n:
         raise ParseError(f"|lam| = {sum(lam)} but ambient size is {pp.n}")
-    return _atomic_from_type(*_graph_type(pp.pairs()), pp.n).get(_mask(lam), 0)
+    core, nu = _graph_type(pp.pairs())
+    inner = _ribbon_chains({_mask(lam): 1}, [-r for r in nu])
+    path = _stable_terms(core, pp.n - sum(nu))
+    return sum(c * path.get(m, 0) for m, c in inner.items())
 
 
 def char_eval_direct(lam, pp: PartialPermutation) -> int:
@@ -131,7 +134,7 @@ def character_table(n: int) -> CharacterTable:
     masks = [_mask(lam) for lam in shapes]
     entries = {}
     for mu in shapes:
-        column = _p_to_schur(mu, None)
+        column = _p_to_schur(mu)
         entries.update(zip(zip(shapes, repeat(mu)), map(column.get, masks, repeat(0))))
     return CharacterTable(n, shapes, entries)
 

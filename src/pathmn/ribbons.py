@@ -4,18 +4,18 @@ A ribbon (rim hook) is an edgewise-connected skew shape with no 2x2 square;
 its tail is the southwesternmost cell and its sign is (-1)^(rows occupied - 1).
 
 Inside the package a shape is an int, its Maya diagram: lam with l parts has a
-bead at bit lam_i + l - i for each row i, so () is 0. Every ribbon addition is
-one abacus step, _ribbon_step: pad by r beads, move a bead from b to an empty
-b + r, strip the trailing beads. The tail row is 1 + the beads above b, the
-tail column 1 + the gaps below b, the sign the parity of the beads jumped.
+bead at bit lam_i + l - i for each row i, so () is 0. Every ribbon is one abacus
+step, _ribbon_step: move a bead from b to an empty b + r, up to add an r-ribbon
+(after padding by r beads) or down to remove a |r|-ribbon, strip the trailing
+beads. The sign is the parity of the beads jumped.
 Chains and walks step the same shapes over and over, so the step is memoized
 once for every caller, in a memo bounded to the _MAX_STEPS steps used last.
 Public results are tuples; the alternant oracle stays on tuples, independent.
 
 Two loops run on the step, each guarded by counting what it holds: the
-Murnaghan-Nakayama chain _ribbon_chains (power sums, cycle parts) refuses a
-step that leaves over _MAX_SHAPES shapes, and the tiling walk _monotonic_walk
-(path parts) refuses past _MAX_NODES nodes. PATHMN_MAX_N replaces both limits.
+Murnaghan-Nakayama chain _ribbon_chains (power sums, cycle parts; up or down)
+refuses a step that leaves over _MAX_SHAPES shapes, and the tiling walk
+_monotonic_walk (path parts) past _MAX_NODES nodes. PATHMN_MAX_N replaces both.
 The stable formula walks each core once for every n (_frozen_prefixes), so a
 core's walk is counted once too.
 """
@@ -99,35 +99,24 @@ def _shape(m) -> tuple:
     return tuple(parts)
 
 
-def _inside(m, w) -> bool:
-    """Whether shape m lies inside shape w: with equal bead counts, each bead of
-    m sits at or below the bead of w with the same index."""
-    pad = w.bit_count() - m.bit_count()
-    if pad < 0:
-        return False
-    m <<= pad  # the pad beads of m sit at the bottom, below those of w
-    while m:
-        if m.bit_length() > w.bit_length():
-            return False
-        m ^= 1 << (m.bit_length() - 1)
-        w ^= 1 << (w.bit_length() - 1)
-    return True
-
-
 @memo(maxsize=_MAX_STEPS)
 def _ribbon_step(m, r) -> tuple:
-    """Every r-ribbon addition to m, top bead first: (result mask, sign, tail row, tail col)."""
-    beads = m.bit_count() + r
-    p = (m << r) | ((1 << r) - 1)
-    free = p & ~(p >> r)  # beads b with position b + r empty
-    jumped = (1 << (r - 1)) - 1
+    """Every ribbon of size |r| added to m (r > 0) or removed from it (r < 0), top
+    bead first: (result mask, sign, tail row, tail col). With k = |r| a bead moves
+    between b and b + k; the tail row is 1 + the beads above b with the moved
+    bead at b, the tail column 1 + the gaps below b."""
+    k, up = abs(r), r > 0
+    p = (m << r) | ((1 << r) - 1) if up else m
+    free = p & ~(p >> k) if up else ~p & (p >> k)  # a bead moves up from b, or down to b
+    beads = p.bit_count()
+    jumped = (1 << (k - 1)) - 1
     out = []
     while free:
         b = free.bit_length() - 1
         free ^= 1 << b
         above = p >> (b + 1)
-        row = above.bit_count() + 1
-        q = p ^ (1 << b) ^ (1 << (b + r))
+        row = above.bit_count() + up  # moving down, the bead at b + k is one above b
+        q = p ^ (1 << b) ^ (1 << (b + k))
         q >>= (q ^ (q + 1)).bit_length() - 1  # strip the empty rows
         out.append((q, -1 if (above & jumped).bit_count() & 1 else 1, row, b + row + 1 - beads))
     return tuple(out)
@@ -144,23 +133,21 @@ def add_ribbons(lam, r: int) -> list:
     ]
 
 
-def _ribbon_chains(terms, alpha, within=None) -> dict:
-    """Add one ribbon of each size in alpha, in order, to every shape of a
-    {mask: coefficient} dict, dropping zeros; with a mask within given, keep
-    only shapes inside it (a chain only grows, so no chain ending inside is lost).
-    Refused once a step leaves more than _MAX_SHAPES shapes. One step from a
-    shape leaves at least r shapes (the top bead of each of the r runners of
-    the abacus moves), so without within an r past the limit is refused
-    before the step is built."""
+def _ribbon_chains(terms, alpha) -> dict:
+    """Step one ribbon of each size in alpha, in order, on every shape of a
+    {mask: coefficient} dict, dropping zeros: a size r > 0 adds an r-ribbon,
+    r < 0 removes a |r|-ribbon, so a chain run down stays inside its shapes.
+    Refused once a step leaves more than _MAX_SHAPES shapes. One addition to
+    a shape leaves at least r shapes (the top bead of each of the r runners of
+    the abacus moves), so an r past the limit is refused before it is built."""
     limit = effective_limit(_MAX_SHAPES)
     for r in alpha:
-        if within is None and terms and r > limit:
+        if terms and r > limit:
             raise refusal("ribbon chain shapes", f"at least {r}", limit)
         out = {}
         for m, c in terms.items():
             for q, sign, _, _ in _ribbon_step(m, r):
-                if within is None or _inside(q, within):
-                    out[q] = out.get(q, 0) + sign * c
+                out[q] = out.get(q, 0) + sign * c
         terms = {m: c for m, c in out.items() if c}
         if len(terms) > limit:
             raise refusal("ribbon chain shapes", len(terms), limit)
@@ -171,8 +158,8 @@ def skew_mn(outer, alpha, inner=()) -> int:
     """Signed count of standard ribbon tableaux of shape outer/inner, sizes alpha.
 
     For inner = () this is the irreducible character value chi^outer_alpha.
-    The value does not depend on the order of alpha (tested); alpha is consumed
-    left to right.
+    The value does not depend on the order of alpha (tested); its ribbons are
+    removed from outer left to right, so no shape outside outer is built.
     """
     outer = check_partition(outer)
     inner = check_partition(inner)
@@ -184,8 +171,7 @@ def skew_mn(outer, alpha, inner=()) -> int:
         )
     if not contains(outer, inner):
         raise ParseError(f"{inner} not contained in {outer}")
-    outer = _mask(outer)
-    return _ribbon_chains({_mask(inner): 1}, alpha, outer).get(outer, 0)
+    return _ribbon_chains({_mask(outer): 1}, [-r for r in alpha]).get(_mask(inner), 0)
 
 
 @dataclass(frozen=True)

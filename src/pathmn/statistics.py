@@ -12,15 +12,15 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, zip_longest
+from itertools import combinations
 
 from pathmn.characters import _atomic_from_type
 from pathmn.errors import ParseError, check_guard, int_text, json_fields, read_int
 # decompose is unused here but stays bound: perfbench's tracer test looks for it
 from pathmn.partial_perm import IndicatorTerm, PartialPermutation, _graph_type, decompose
 from pathmn.partitions import check_partition
-from pathmn.ribbons import _mask, memo
-from pathmn.symfunc import SymExpansion, _check_parts, _p_to_schur
+from pathmn.ribbons import _mask, _ribbon_chains, memo
+from pathmn.symfunc import SymExpansion, _check_parts
 
 __all__ = [
     "Statistic",
@@ -164,9 +164,10 @@ def class_eval(cf: ClassFunction, mu) -> Fraction:
     if sum(mu) != cf.n:
         raise ParseError(f"|mu| = {sum(mu)} but the class function lives on S_{cf.n}")
     _check_parts(len(mu))
-    # chains that end in the support stay inside its componentwise maximum
-    column = _p_to_schur(mu, _mask(tuple(map(max, zip_longest(*cf.schur.terms, fillvalue=0)))))
-    return Fraction(sum(c * column.get(_mask(lam), 0) for lam, c in cf.schur.terms.items()))
+    # remove mu from the support, on integer numerators over one denominator
+    den = math.lcm(*(c.denominator for c in cf.schur.terms.values()))
+    terms = {_mask(lam): c.numerator * (den // c.denominator) for lam, c in cf.schur.terms.items()}
+    return Fraction(_ribbon_chains(terms, [-r for r in mu]).get(0, 0), den)
 
 
 def variance_on_class(f: Statistic, mu) -> Fraction:

@@ -223,11 +223,11 @@ def mult_by_power(f: SymExpansion, r: int) -> SymExpansion:
 
 
 @memo
-def _p_to_schur(mu, within) -> dict:
-    """p_mu as {mask: int} on the shapes inside the mask within (None: all shapes)."""
+def _p_to_schur(mu) -> dict:
+    """p_mu as {mask: int}, its parts added last to first (a shared prefix memo)."""
     if not mu:
         return {0: 1}
-    return _ribbon_chains(_p_to_schur(mu[1:], within), mu[:1], within)
+    return _ribbon_chains(_p_to_schur(mu[1:]), mu[:1])
 
 
 def _check_parts(count):
@@ -246,7 +246,7 @@ def power_to_schur(f: SymExpansion) -> SymExpansion:
     _check_parts(max(map(len, f.terms), default=0))
     out = {}
     for mu, c in f.terms.items():
-        for m, v in _p_to_schur(mu, None).items():
+        for m, v in _p_to_schur(mu).items():
             out[m] = out.get(m, 0) + c * v
     return SymExpansion._from_masks(f.degree, out)
 

@@ -19,6 +19,7 @@ from pathmn import (
     clear_caches,
     coefficient_polynomiality,
     decompose,
+    embed,
     mult_by_power,
     partitions_of,
     path_power_to_schur,
@@ -29,6 +30,7 @@ from pathmn import (
     syt_count,
     z_mu,
 )
+from pathmn.oracles import packed_pairs
 
 A7 = PartialPermutation(7, (1, 4, 5, 6, 7), (2, 5, 6, 4, 7))
 
@@ -101,6 +103,27 @@ def test_char_eval_direct_agrees():
         pp = random_pp(rng, 6)
         for lam in partitions_of(6):
             assert char_eval_direct(lam, pp) == char_eval(lam, pp)
+
+
+def test_char_eval_removals_match_expansion_additions():
+    # char_eval removes the cycle parts from lam; atomic_schur adds them to the
+    # path factor. The two routes share no ribbon step direction.
+    pairs = list(packed_pairs(3))
+    for pp in pairs:
+        for n in range(pp.n, 8):
+            big = embed(pp, n)
+            exp = atomic_schur(big)
+            for lam in partitions_of(n):
+                assert char_eval(lam, big) == exp.coeff(lam)
+    rng = random.Random(20261019)
+    small = [(rho, k) for k in range(5) for rho in partitions_of(k)]
+    for pp in rng.sample(pairs, 8):
+        for n in (100, 1200):
+            big = embed(pp, n)
+            exp = atomic_schur(big)
+            for rho, k in small:
+                lam = (n - k, *rho)
+                assert char_eval(lam, big) == exp.coeff(lam)
 
 
 def test_character_table_small():

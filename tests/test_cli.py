@@ -418,9 +418,15 @@ NODES_100K = (
 def test_fixed_points_are_counted_in_the_chain(capsys, tmp_path):
     # the cycle type 1^31 adds 31 single cells: the chain ends on all p(31) shapes
     fixed = ",".join(map(str, range(1, 32)))
-    for cmd in (["atomic"], ["char", "31"]):
-        _, err = run_cli(capsys, [*cmd, "--pp", f"{fixed} -> {fixed}", "--n", "31"], expect_rc=3)
-        assert err == SHAPES_31
+    _, err = run_cli(capsys, ["atomic", "--pp", f"{fixed} -> {fixed}", "--n", "31"], expect_rc=3)
+    assert err == SHAPES_31
+    # one value removes the 31 cells from lam instead, and holds only subshapes of lam
+    out, _ = run_cli(capsys, ["char", "31", "--pp", f"{fixed} -> {fixed}", "--n", "31"])
+    assert out == "1\n"
+    # the subshapes of 20^20 still pass the limit
+    fixed = ",".join(map(str, range(1, 401)))
+    _, err = run_cli(capsys, ["char", "20^20", "--pp", f"{fixed} -> {fixed}", "--n", "400"], expect_rc=3)
+    assert err.startswith("refused: ribbon chain shapes = ")
     path = tmp_path / "fix31.json"
     path.write_text(
         json.dumps({"n": 31, "terms": [{"coeff": "1", "I": list(range(1, 32)), "J": list(range(1, 32))}]}),

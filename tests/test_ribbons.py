@@ -35,7 +35,6 @@ from pathmn import (
 from pathmn.ribbons import (
     _extend_first_row,
     _frozen_prefixes,
-    _inside,
     _mask,
     _monotonic_walk,
     _ribbon_step,
@@ -94,19 +93,22 @@ def test_add_ribbons_complete():
 
 
 def test_ribbon_step_matches_cell_brute():
-    # (result, sign, tail row, tail col) of every r-ribbon on lam, from the cells alone
+    # (result, sign, tail row, tail col) of every r-ribbon added to lam (r > 0)
+    # or removed from it (r < 0), from the cells alone
     for n in range(10):
         for lam in partitions_list(n):
             for r in range(1, 7):
-                expect = set()
-                for nxt in partitions_list(n + r):
-                    cells = skew_cells(nxt, lam)
-                    if contains_(nxt, lam) and is_ribbon(cells):
-                        tail = max(cells, key=lambda rc: (rc[0], -rc[1]))
-                        expect.add((nxt, ribbon_sign(cells)) + tail)
-                got = [(_shape(q),) + tuple(rest) for q, *rest in _ribbon_step(_mask(lam), r)]
-                assert len(got) == len(expect)
-                assert set(got) == expect
+                for step, others in ((r, partitions_list(n + r)), (-r, partitions_list(n - r))):
+                    expect = set()
+                    for mu in others:
+                        outer, inner = (mu, lam) if step > 0 else (lam, mu)
+                        cells = skew_cells(outer, inner)
+                        if contains_(outer, inner) and is_ribbon(cells):
+                            tail = max(cells, key=lambda rc: (rc[0], -rc[1]))
+                            expect.add((mu, ribbon_sign(cells)) + tail)
+                    got = [(_shape(q),) + tuple(rest) for q, *rest in _ribbon_step(_mask(lam), step)]
+                    assert len(got) == len(expect)
+                    assert set(got) == expect
 
 
 def test_ribbon_step_memo_returns_the_computed_steps():
@@ -135,6 +137,13 @@ def test_ribbon_step_memo_evicts_within_its_bound():
     assert info.misses > len(steps)
 
 
+def test_skew_mn_builds_no_shape_outside_outer():
+    # one removal from (20000,) leaves (), no addition to () is built
+    clear_caches()
+    assert skew_mn((20000,), (20000,)) == 1
+    assert _ribbon_step.cache_info().misses == 1
+
+
 def test_mask_round_trip():
     wide = [(1200,), (1199, 1), (1197, 2, 1), (1190, 4, 3, 3), (1201, 1, 1, 1, 1, 1)]
     for lam in [mu for n in range(15) for mu in partitions_list(n)] + wide:
@@ -142,13 +151,6 @@ def test_mask_round_trip():
         assert _mask(lam) == sum(1 << (p + len(lam) - i) for i, p in enumerate(lam, start=1))
         assert _shape(_mask(lam)) == lam
     assert _mask(()) == 0 and _shape(0) == ()
-
-
-def test_bead_containment_matches_contains():
-    shapes = [mu for n in range(9) for mu in partitions_list(n)]
-    for outer in shapes:
-        for inner in shapes:
-            assert _inside(_mask(inner), _mask(outer)) == contains_(outer, inner)
 
 
 def _tiling_digest(min_tail_row, extra_ones):

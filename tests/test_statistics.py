@@ -15,6 +15,7 @@ from pathmn import (
     ParseError,
     PartialPermutation,
     builtin,
+    character_table,
     class_eval,
     clear_caches,
     decompose,
@@ -501,6 +502,18 @@ def test_maj_squared_class_averages():
         brute = class_averages(n, lambda w: maj_of(w) ** 2)
         for mu in partitions_of(n):
             assert class_eval(sq, mu) == brute[mu]
+
+
+def test_class_eval_removals_match_table_columns():
+    # class_eval removes mu from the support; the table adds mu to the empty shape
+    for n in range(1, 11):
+        table = character_table(n)
+        for name in ("exc", "maj"):
+            f = builtin(name, n)
+            cf = symmetrize(stat_product(f, f))
+            for mu in partitions_of(n):
+                expect = sum(c * table.value(lam, mu) for lam, c in cf.schur.terms.items())
+                assert class_eval(cf, mu) == expect
 
 
 def test_constant_statistic():

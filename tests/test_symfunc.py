@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -29,9 +28,8 @@ from pathmn import (
     symfunc,
 )
 from pathmn.errors import int_text as _int_text
-from pathmn.partitions import contains
-from pathmn.ribbons import _mask, _shape, _stable_terms
-from pathmn.symfunc import _SHARED_BITS, _ints_text, _p_to_schur
+from pathmn.ribbons import _shape, _stable_terms
+from pathmn.symfunc import _SHARED_BITS, _ints_text
 
 
 def test_constructor_validation():
@@ -75,22 +73,6 @@ def test_render():
     lead = SymExpansion(PATH, 3, {(3,): -1, (2, 1): 1})
     assert lead.render() == "−1·P[3] + 1·P[2,1]"
     assert e.render(long=True) == "6·s[3]\n−4·s[2,1]"
-
-
-def test_bounded_columns_match_full_columns():
-    # a bounded column keeps exactly the shapes of the full one inside the bound
-    for n in range(9):
-        shapes = list(partitions_of(n))
-        unions = [
-            tuple(map(max, itertools.zip_longest(a, b, fillvalue=0)))
-            for a, b in zip(shapes, shapes[1:] + shapes[:1])
-        ]
-        for mu in shapes:
-            full = {_shape(m): v for m, v in _p_to_schur(mu, None).items()}
-            for bound in shapes + unions:
-                column = {_shape(m): v for m, v in _p_to_schur(mu, _mask(bound)).items()}
-                assert column == {lam: v for lam, v in full.items() if contains(bound, lam)}
-                assert all(type(v) is int for v in column.values())
 
 
 def test_mult_by_power():
