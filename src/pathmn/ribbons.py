@@ -133,10 +133,11 @@ def add_ribbons(lam, r: int) -> list:
     ]
 
 
-def _ribbon_chains(terms, alpha) -> dict:
+def _ribbon_chains(terms, alpha, floor=()) -> dict:
     """Step one ribbon of each size in alpha, in order, on every shape of a
     {mask: coefficient} dict, dropping zeros: a size r > 0 adds an r-ribbon,
     r < 0 removes a |r|-ribbon, so a chain run down stays inside its shapes.
+    It also drops the shapes that do not contain floor, which no removal regains.
     Refused once a step leaves more than _MAX_SHAPES shapes. One addition to
     a shape leaves at least r shapes (the top bead of each of the r runners of
     the abacus moves), so an r past the limit is refused before it is built."""
@@ -148,7 +149,7 @@ def _ribbon_chains(terms, alpha) -> dict:
         for m, c in terms.items():
             for q, sign, _, _ in _ribbon_step(m, r):
                 out[q] = out.get(q, 0) + sign * c
-        terms = {m: c for m, c in out.items() if c}
+        terms = {m: c for m, c in out.items() if c and (not floor or contains(_shape(m), floor))}
         if len(terms) > limit:
             raise refusal("ribbon chain shapes", len(terms), limit)
     return terms
@@ -159,7 +160,7 @@ def skew_mn(outer, alpha, inner=()) -> int:
 
     For inner = () this is the irreducible character value chi^outer_alpha.
     The value does not depend on the order of alpha (tested); its ribbons are
-    removed from outer left to right, so no shape outside outer is built.
+    removed from outer largest first, keeping the shapes that contain inner.
     """
     outer = check_partition(outer)
     inner = check_partition(inner)
@@ -171,7 +172,7 @@ def skew_mn(outer, alpha, inner=()) -> int:
         )
     if not contains(outer, inner):
         raise ParseError(f"{inner} not contained in {outer}")
-    return _ribbon_chains({_mask(outer): 1}, [-r for r in alpha]).get(_mask(inner), 0)
+    return _ribbon_chains({_mask(outer): 1}, sorted(-r for r in alpha), inner).get(_mask(inner), 0)
 
 
 @dataclass(frozen=True)

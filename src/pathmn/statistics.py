@@ -163,7 +163,7 @@ def class_eval(cf: ClassFunction, mu) -> Fraction:
     mu = check_partition(tuple(sorted(mu, reverse=True)))
     if sum(mu) != cf.n:
         raise ParseError(f"|mu| = {sum(mu)} but the class function lives on S_{cf.n}")
-    _check_parts(len(mu))
+    _check_parts(len(mu))  # the power-sum cap, kept though this chain is a loop
     # remove mu from the support, on integer numerators over one denominator
     den = math.lcm(*(c.denominator for c in cf.schur.terms.values()))
     terms = {_mask(lam): c.numerator * (den // c.denominator) for lam, c in cf.schur.terms.items()}

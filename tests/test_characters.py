@@ -126,6 +126,25 @@ def test_char_eval_removals_match_expansion_additions():
                 assert char_eval(lam, big) == exp.coeff(lam)
 
 
+def test_char_eval_reads_past_what_the_expansion_holds():
+    # the atomic expansion of 17 disjoint transpositions passes the chain limit
+    partner = tuple(i + 1 if i % 2 else i - 1 for i in range(1, 35))  # 2i - 1 <-> 2i
+    swaps = PartialPermutation(34, tuple(range(1, 35)), partner)
+    assert char_eval((17, 17), swaps) == -24310
+    with pytest.raises(GuardError):
+        atomic_schur(swaps)
+
+
+def test_char_eval_keeps_only_shapes_above_the_path_factor():
+    # the staircase of 40 rows (n = 820) has 9919 subshapes of co-size 3, but
+    # none contains the first row that every shape of the path factor has
+    stair = tuple(range(40, 0, -1))
+    assert char_eval(stair, PartialPermutation(820, (1, 2, 3), (1, 2, 3))) == 0
+    assert char_eval(stair, PartialPermutation(820, (1, 3, 4, 5), (2, 3, 4, 5))) == 0
+    fixed = PartialPermutation(820, (1, 2, 3), (1, 2, 3))
+    assert char_eval((818, 1, 1), fixed) == atomic_schur(fixed).coeff((818, 1, 1)) != 0
+
+
 def test_character_table_small():
     t0 = character_table(0)
     assert t0.shapes == ((),)

@@ -37,6 +37,7 @@ from pathmn.ribbons import (
     _frozen_prefixes,
     _mask,
     _monotonic_walk,
+    _ribbon_chains,
     _ribbon_step,
     _shape,
     _stable_terms,
@@ -201,6 +202,46 @@ def test_skew_mn_with_inner_shape():
     ]
     for outer, alpha, inner in cases:
         assert skew_mn(outer, alpha, inner=inner) == brute_skew_mn(outer, alpha, inner)
+
+
+def test_skew_mn_with_inner_matches_brute():
+    # every inner inside every outer of size <= 7, cycle parts in two orders
+    for n in range(8):
+        for outer in partitions_of(n):
+            for k in range(n + 1):
+                for inner in partitions_of(k):
+                    if not contains_(outer, inner):
+                        continue
+                    for alpha in partitions_of(n - k):
+                        for order in (alpha, alpha[::-1]):
+                            assert skew_mn(outer, order, inner) == brute_skew_mn(outer, order, inner)
+
+
+def test_skew_mn_keeps_only_shapes_above_inner():
+    # removing 31 cells from 31^31 passes p(31) = 6842 shapes; those that
+    # still contain 31^30 are one per step
+    assert skew_mn((31,) * 31, (1,) * 31, (31,) * 30) == 1
+    assert skew_mn((31,) * 31, (2,) * 15 + (1,), (31,) * 30) == 1
+
+
+def test_skew_mn_removes_the_largest_ribbons_first(monkeypatch):
+    # the five cells first would leave 9 shapes above (1,); the upward chain
+    # from (1,) answered this at a limit of 8
+    monkeypatch.setenv("PATHMN_MAX_N", "8")
+    assert skew_mn((5, 4, 2, 1), (1, 1, 1, 1, 1, 2, 4), (1,)) == 5
+
+
+def test_removal_chain_order_independent():
+    # skew_mn removes the parts largest first; the chain gives every order the same value
+    for n in range(1, 7):
+        for mu in partitions_of(n):
+            for lam in partitions_of(n):
+                start = {_mask(lam): 1}
+                vals = {
+                    _ribbon_chains(start, [-a for a in alpha]).get(0, 0)
+                    for alpha in set(itertools.permutations(mu))
+                }
+                assert vals == {skew_mn(lam, mu)}
 
 
 def test_skew_mn_errors():
