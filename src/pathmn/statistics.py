@@ -20,7 +20,7 @@ from pathmn.errors import ParseError, check_guard, int_text, json_fields, read_i
 from pathmn.partial_perm import IndicatorTerm, PartialPermutation, _graph_type, decompose
 from pathmn.partitions import check_partition
 from pathmn.ribbons import _mask, _ribbon_chains, memo
-from pathmn.symfunc import SymExpansion, _check_parts
+from pathmn.symfunc import SymExpansion
 
 __all__ = [
     "Statistic",
@@ -163,7 +163,6 @@ def class_eval(cf: ClassFunction, mu) -> Fraction:
     mu = check_partition(tuple(sorted(mu, reverse=True)))
     if sum(mu) != cf.n:
         raise ParseError(f"|mu| = {sum(mu)} but the class function lives on S_{cf.n}")
-    _check_parts(len(mu))  # the power-sum cap, kept though this chain is a loop
     # remove mu from the support, on integer numerators over one denominator
     den = math.lcm(*(c.denominator for c in cf.schur.terms.values()))
     terms = {_mask(lam): c.numerator * (den // c.denominator) for lam, c in cf.schur.terms.items()}

@@ -5,9 +5,11 @@ coefficients, keyed by partitions. Schur-basis expansions are closed under
 multiplication by a power sum p_r (ribbon additions), which is all the
 multiplication the package needs; conversions between the classical power
 sums, the path power sums, and the Schur basis live here too. An expansion
-prints itself in each output format: render(), to_json() and to_csv(), its
-integers through errors.int_text, their shared factor converted once; from_json
-reads them back through errors.read_int.
+prints itself in each output format, render(), to_json() and to_csv(), in time
+linear in the text: the shared factor of its integers is converted to decimal
+once (a small memo keeps it for the other expansions of one n) and each distinct
+quotient once, the rest through errors.int_text, and to_json writes its JSON
+without json.dumps. from_json reads the integers back through errors.read_int.
 
 Ribbons are added by the chain and the walk of ribbons, which count the shapes
 and nodes they hold; the power sums here guard only their number of parts, a
@@ -16,7 +18,6 @@ limit PATHMN_MAX_N lowers but never raises (each part is a recursion level).
 
 import csv
 import io
-import json
 import math
 from decimal import MAX_EMAX, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
@@ -63,13 +64,19 @@ MINUS = "−"
 _SHARED_BITS = 2048
 
 
+@memo(maxsize=64)
+def _decimal(g) -> Decimal:
+    """Decimal(g): the shared factor of one n recurs in many expansions."""
+    return Decimal(g)
+
+
 def _ints_text(values) -> list:
     """[int_text(v) for v in values], converting their common factor once.
 
     Expansion coefficients at large n share a huge factor ((n - r)! times a
     polynomial), and int -> text is quadratic in the digits. The factor g is
-    converted to a Decimal once; each value is then the exact product
-    g * (v // g), whose text costs linear time.
+    converted to a Decimal once (and kept in a small memo); each distinct
+    |v // g| is then the exact product of it, whose text costs linear time.
     """
     g = math.gcd(*values)
     if g.bit_length() < _SHARED_BITS:
@@ -77,8 +84,10 @@ def _ints_text(values) -> list:
     # 3 bits per digit over-counts, so no product is ever rounded
     digits = max(v.bit_length() for v in values) // 3 + 2
     ctx = Context(prec=digits, Emax=MAX_EMAX, traps=[Inexact, Rounded])
-    shared = Decimal(g)
-    return [str(ctx.multiply(shared, v // g)) for v in values]
+    shared = _decimal(g)
+    quotients = [v // g for v in values]
+    texts = {a: str(ctx.multiply(shared, a)) for a in set(map(abs, quotients))}
+    return ["-" + texts[-q] if q < 0 else texts[q] for q in quotients]
 
 
 class SymExpansion:
@@ -164,7 +173,7 @@ class SymExpansion:
         for (lam, c), coeff in zip(items, _ints_text([abs(c.numerator) for _, c in items])):
             if c.denominator != 1:
                 coeff = f"({coeff}/{int_text(c.denominator)})"
-            pieces.append((c < 0, f"{coeff}{DOT}{sym}{format_partition(lam)}"))
+            pieces.append((c.numerator < 0, f"{coeff}{DOT}{sym}{format_partition(lam)}"))
         if long:
             return "\n".join((MINUS if neg else "") + body for neg, body in pieces)
         out = [(MINUS if pieces[0][0] else "") + pieces[0][1]]
@@ -177,17 +186,16 @@ class SymExpansion:
         return f"<SymExpansion {self.basis} deg {self.degree}: {self.render()}>"
 
     def to_json(self) -> str:
+        """{"basis", "degree", "terms"}, each term {"partition": [...], "num":
+        "...", "den": "..."}, byte for byte as json.dumps writes them."""
         items = self.items()
-        return json.dumps(
-            {
-                "basis": self.basis,
-                "degree": self.degree,
-                "terms": [
-                    {"partition": list(lam), "num": num, "den": int_text(c.denominator)}
-                    for (lam, c), num in zip(items, _ints_text([c.numerator for _, c in items]))
-                ],
-            }
-        )
+        terms = [
+            '{"partition": [' + ", ".join(map(str, lam)) + '], "num": "' + num
+            + '", "den": "' + int_text(c.denominator) + '"}'
+            for (lam, c), num in zip(items, _ints_text([c.numerator for _, c in items]))
+        ]
+        return ('{"basis": "' + self.basis + '", "degree": ' + int_text(self.degree)
+                + ', "terms": [' + ", ".join(terms) + "]}")
 
     def to_csv(self) -> str:
         """A "partition,num,den" header, then one row per term; ends in a newline."""

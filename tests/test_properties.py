@@ -1,5 +1,6 @@
 """Property tests on seeded random partial permutations (Hypothesis, derandomized)."""
 
+import json
 import math
 import sys
 from fractions import Fraction
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathmn import (
+    PATH,
+    POWER,
     SCHUR,
     IndicatorTerm,
     PartialPermutation,
@@ -20,6 +23,7 @@ from pathmn import (
     embed,
     make_statistic,
     pack,
+    partitions_of,
     power_to_schur,
     symmetrize,
 )
@@ -127,5 +131,44 @@ def test_integer_codec_round_trip(v, limit):
         else:
             with pytest.raises(ParseError, match="must fit an index-sized int"):
                 read_int(text)
+    finally:
+        set_limit(old)
+
+
+# no common factor, one of 2048 bits or more, and one past 4300 digits
+_SCALES = (1, math.factorial(1150), 10**5000)
+
+
+@st.composite
+def expansions(draw):
+    basis = draw(st.sampled_from([SCHUR, POWER, PATH]))
+    degree = draw(st.integers(0, 6))
+    shapes = draw(st.lists(st.sampled_from(list(partitions_of(degree))), unique=True, max_size=6))
+    scale = draw(st.sampled_from(_SCALES))
+    nums = st.integers(-60, 60).filter(bool)
+    dens = st.integers(1, 12)
+    return SymExpansion(basis, degree, {lam: Fraction(scale * draw(nums), draw(dens)) for lam in shapes})
+
+
+@SEEDED
+@given(expansions())
+def test_json_text_is_what_json_dumps_writes(e):
+    # to_json writes its text itself; json.dumps of the same object is the reference
+    reference = {
+        "basis": e.basis,
+        "degree": e.degree,
+        "terms": [
+            {"partition": list(lam), "num": int_text(c.numerator), "den": int_text(c.denominator)}
+            for lam, c in e.items()
+        ],
+    }
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        pytest.skip("this Python has no int<->str digit limit")
+    old = sys.get_int_max_str_digits()
+    set_limit(4300)
+    try:
+        assert e.to_json() == json.dumps(reference)
+        assert SymExpansion.from_json(e.to_json()) == e
     finally:
         set_limit(old)

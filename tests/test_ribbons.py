@@ -483,6 +483,8 @@ def test_clear_caches_is_safe():
     path_power_to_schur((2, 1))
     symmetrize(stat_product(exc4, exc4))
     before = skew_mn((4, 3, 1), (3, 2, 2, 1))
+    # the coefficients share a factor of 2048 bits or more, whose Decimal is kept
+    atomic_schur(PartialPermutation(1200, (1, 2, 4), (2, 3, 4))).render()
     # every memo of the package, found the way perfbench/tracer.py finds them
     memos = {
         f"{name}.{attr}": obj
@@ -496,6 +498,7 @@ def test_clear_caches_is_safe():
         "pathmn.ribbons.tiling_tally",
         "pathmn.ribbons._frozen_prefixes",
         "pathmn.symfunc._p_to_schur",
+        "pathmn.symfunc._decimal",
         "pathmn.characters._atomic_from_type",
         "pathmn.statistics.stat_product",
         "pathmn.statistics.symmetrize",

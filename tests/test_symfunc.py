@@ -293,6 +293,8 @@ def test_ints_text_matches_each_value():
         [-shared],
         [2**64 + 1, 3**50, -7, 0],
         [shared * c for c in (1, -3, 0, 10**50, -(10**40 + 1), 7**600, 12345)],
+        # each magnitude is converted once, for both signs and every repeat
+        [shared * c for c in (1, -1, 3, -3, 1, 0)],
     ]
     for values in cases:
         assert _ints_text(values) == [_int_text(v) for v in values]
@@ -326,29 +328,33 @@ def test_render_and_json_convert_the_common_factor_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "make, render_sha, json_sha",
+    "make, render_sha, json_sha, csv_sha",
     [
         (
             lambda: atomic_schur(parse_pp("1,2,3,4,5,6 -> 2,3,4,5,6,1", 1200)),
             "f0d1b9d324c349e146f6f4b50c1a936bf032760d2dc5bb04beeec0d74601d532",
             "1a7ec69d538061986025fee8ab3eb3c3a25c21afe34daa9726ca8ed57bde30f9",
+            "85142c29fdef2e7e6a7359ff02dccfcf203df51a9e84100642213ea6f7e541a2",
         ),
         (
             lambda: atomic_schur(parse_pp("1,2,4,5,7 -> 2,3,5,6,8", 1200)),
             "d73439f593772f6f186fbe1b79be9b86805cb00cdaf834fc864d559d155dcfc5",
             "1a2e74ae20a931031956944ca7163dd7fc4b7cc65264ffa38016b35e4f1a3ad4",
+            "edfbd6171f5b24f64ef1c733ab23b98700a7620cc46026be2245ec05313b2670",
         ),
         (
             lambda: stable_expansion((3, 2, 2), 1200),
             "6997341ec83830a8662d28d59cc43943dd5051a79f9076b33f039ef387248cc8",
             "053b7c8fb980562027f86a5a43e24ac854c7967d89bb3c978c5d2869f81d5fa2",
+            "fff6cefe2a68e6cfb222562420cfcba3947b17e342c67622fb8d1e5a6174e8e4",
         ),
     ],
 )
-def test_large_expansions_print_pinned_text(make, render_sha, json_sha):
+def test_large_expansions_print_pinned_text(make, render_sha, json_sha, csv_sha):
     e = make()
     assert hashlib.sha256(e.render().encode()).hexdigest() == render_sha
     assert hashlib.sha256(e.to_json().encode()).hexdigest() == json_sha
+    assert hashlib.sha256(e.to_csv().encode()).hexdigest() == csv_sha
 
 
 @pytest.mark.parametrize("n", [12, 50])
