@@ -360,6 +360,15 @@ def test_guard_exit_code(capsys, monkeypatch):
     assert "exceeds the guard limit 3" in err
 
 
+def test_statistic_product_guard_counts_pair_visits(capsys):
+    # the cube of maj at n = 12 would visit 136,576 x 726 pairs of terms
+    _, err = run_cli(capsys, ["stat", "maj", "--n", "12", "--moment", "3"], expect_rc=3)
+    assert err == (
+        "refused: statistic product pair visits = 99154176 exceeds the guard limit 2000000"
+        " (set PATHMN_MAX_N to override)\n"
+    )
+
+
 def test_part_count_guard(capsys):
     # one recursion level per part: past the guard these died with RecursionError
     _, err = run_cli(capsys, ["path-expand", "1^1200"], expect_rc=3)

@@ -29,6 +29,7 @@ from pathmn import (
     symmetrize,
     variance_on_class,
 )
+from pathmn.ribbons import _mask
 from brute import all_perms, class_averages, cycle_type_of, exc_of, maj_of, merge_pairs
 
 
@@ -253,6 +254,40 @@ def test_stat_product_matches_pairwise_merges():
         exc, maj = builtin("exc", n), builtin("maj", n)
         assert stat_product(exc, maj) == pairwise_product(n, exc.terms, maj.terms)
         assert stat_product(maj, maj) == pairwise_product(n, maj.terms, maj.terms)
+
+
+def test_stat_product_square_matches_pairwise_merges():
+    # a square visits each unordered pair of terms once: the product of f with
+    # itself or with an equal copy is the pairwise product, and a product commutes
+    rng = random.Random(18)
+    for n in range(1, 8):
+        for _ in range(10):
+            f_terms = random_terms(rng, n, rng.randrange(0, 12))
+            f_terms.append(IndicatorTerm(Fraction(rng.choice([-5, 3]), rng.choice([1, 4])),
+                                         PartialPermutation(n, (), ())))
+            g_terms = random_terms(rng, n, rng.randrange(0, 8))
+            f, copy_of_f = make_statistic(n, f_terms), make_statistic(n, list(reversed(f_terms)))
+            g = make_statistic(n, g_terms)
+            assert f == copy_of_f and f is not copy_of_f
+            expect = pairwise_product(n, f_terms, f_terms)
+            for other in (f, copy_of_f):
+                clear_caches()
+                assert stat_product(f, other) == expect
+            clear_caches()
+            assert stat_product(f, g) == stat_product(g, f) == pairwise_product(n, f_terms, g_terms)
+
+
+def test_stat_product_guard_counts_pair_visits(monkeypatch):
+    # a square visits |f|(|f| + 1)/2 pairs of terms, any other product |f|·|g|
+    exc, maj = builtin("exc", 6), builtin("maj", 6)
+    assert (len(exc.nums), len(maj.nums)) == (15, 75)
+    for g, visits in [(exc, 120), (maj, 1125)]:
+        monkeypatch.setenv("PATHMN_MAX_N", str(visits - 1))
+        clear_caches()
+        with pytest.raises(GuardError, match=f"statistic product pair visits = {visits} exceeds"):
+            stat_product(exc, g)
+        monkeypatch.setenv("PATHMN_MAX_N", str(visits))
+        assert stat_product(exc, g) == pairwise_product(6, exc.terms, g.terms)
 
 
 def test_stat_product_edge_cases():
@@ -502,6 +537,25 @@ def test_maj_squared_class_averages():
         brute = class_averages(n, lambda w: maj_of(w) ** 2)
         for mu in partitions_of(n):
             assert class_eval(sq, mu) == brute[mu]
+
+
+def test_class_eval_converts_nothing_per_class(monkeypatch):
+    # a class function holds its integer numerators from the start, also one
+    # built by hand: reading a value converts no shape to a mask
+    pairs = []
+    for name in ("exc", "maj"):
+        for n in range(1, 9):
+            f = builtin(name, n)
+            cf = symmetrize(stat_product(f, f))
+            by_hand = pathmn.statistics.ClassFunction(n, cf.schur)
+            assert by_hand == cf and (by_hand.den, by_hand.nums) == (cf.den, cf.nums)
+            pairs.append((cf, by_hand))
+    masks = []
+    monkeypatch.setattr(pathmn.statistics, "_mask", lambda lam: masks.append(lam) or _mask(lam))
+    for cf, by_hand in pairs:
+        for mu in partitions_of(cf.n):
+            assert class_eval(by_hand, mu) == class_eval(cf, mu)
+    assert masks == []
 
 
 def test_class_eval_removals_match_table_columns():
