@@ -26,7 +26,7 @@ from pathmn.partitions import (
     pad_row,
     partitions_of,
 )
-from pathmn.ribbons import _mask, _ribbon_chains, _shape, _stable_terms, memo, skew_mn, tiling_tally
+from pathmn.ribbons import _mask, _ribbon_chains, _stable_terms, memo, skew_mn, tiling_tally
 from pathmn.symfunc import SymExpansion, _p_to_schur
 
 __all__ = [
@@ -67,8 +67,10 @@ def char_eval(lam, pp: PartialPermutation) -> int:
     if sum(lam) != pp.n:
         raise ParseError(f"|lam| = {sum(lam)} but ambient size is {pp.n}")
     core, nu = _graph_type(pp.pairs())
-    path = _stable_terms(core, pp.n - sum(nu))
-    floor = tuple(map(min, zip(*map(_shape, path))))  # inside every path shape
+    size = pp.n - sum(nu)
+    path = _stable_terms(core, size)
+    # the path factor holds (size) with coefficient (size - edges)! > 0: the shape inside all is a row
+    floor = (min(m.bit_length() - m.bit_count() for m in path),) if size else ()
     inner = _ribbon_chains({_mask(lam): 1}, [-r for r in nu], floor)
     return sum(c * path.get(m, 0) for m, c in inner.items())
 

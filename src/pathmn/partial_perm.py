@@ -139,11 +139,13 @@ def local_dimension(n: int, k: int) -> int:
     """dim of the span of k-local indicators: sum of f_lam^2 over lam_1 >= n-k.
 
     Equivalently the number of w in S_n whose longest increasing subsequence
-    has length at least n-k (checked against brute force in the tests).
+    has length at least n-k (checked against brute force in the tests). Only
+    those lam are visited: lam = (n-j, nu) with nu a partition of j <= k and
+    nu_1 <= n-j.
     """
     if not (0 <= k <= n - 1):
         raise ParseError(f"need 0 <= k <= n-1, got k={k}, n={n}")
-    return sum(syt_count(lam) ** 2 for lam in partitions_of(n) if lam[0] >= n - k)
+    return sum(syt_count((n - j, *nu)) ** 2 for j in range(k + 1) for nu in partitions_of(j, n - j))
 
 
 _SIDE_SPLIT = re.compile(r"\s*->\s*")

@@ -10,13 +10,12 @@ Schur coefficients against character values.
 Products run on bitmasks: a term is its pair, source and target masks, and two
 terms merge iff they share as many pairs as sources and as targets. A square
 visits each unordered pair of terms once. A product is refused before its loop
-past _MAX_VISITS pair visits. A ClassFunction converts its Schur coefficients
-to integers on Maya masks once, when built; each class value reads those.
+past _MAX_VISITS pair visits. A ClassFunction holds integers on Maya masks.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,7 +24,7 @@ from pathmn.errors import ParseError, check_guard, int_text, json_fields, read_i
 # decompose is unused here but stays bound: perfbench's tracer test looks for it
 from pathmn.partial_perm import IndicatorTerm, PartialPermutation, _graph_type, decompose
 from pathmn.partitions import check_partition
-from pathmn.ribbons import _mask, _ribbon_chains, memo
+from pathmn.ribbons import _ribbon_chains, memo
 from pathmn.symfunc import SymExpansion
 
 __all__ = [
@@ -43,6 +42,7 @@ __all__ = [
 ]
 
 _MAX_VISITS = 2_000_000  # about 0.4 s if few pairs merge, 3 s if most do; maj^3 at n = 8 visits 1,339,072
+_MAX_TERMS = 250_000  # a built-in statistic's terms: about 0.7 s and 90 MB to build; maj at n = 80 has 249,640
 
 
 @dataclass(frozen=True)
@@ -71,23 +71,21 @@ class Statistic:
 
 @dataclass(frozen=True)
 class ClassFunction:
-    """A class function on S_n through ch_n: R f = sum c_lam chi^lam.
+    """A class function on S_n through ch_n: R f = sum (num/den)·chi^lam.
 
-    den and nums are computed from schur when it is built: its coefficients
-    as {Maya mask of lam: int} over one denominator den, the form class_eval
-    removes ribbons from.
+    nums holds one nonzero int per lam, keyed by its Maya mask, the form
+    class_eval removes ribbons from; gcd(den, *nums) is 1, so equal class
+    functions are ==.
     """
 
     n: int
-    schur: SymExpansion
-    den: int = field(init=False, repr=False, compare=False)
-    nums: dict = field(init=False, repr=False, compare=False)
+    den: int
+    nums: dict
 
-    def __post_init__(self):
-        den = math.lcm(*(c.denominator for c in self.schur.terms.values()))
-        nums = {_mask(lam): c.numerator * (den // c.denominator) for lam, c in self.schur.terms.items()}
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
+    @property
+    def schur(self) -> SymExpansion:
+        """The Schur expansion, decoded from the masks each time it is read."""
+        return SymExpansion._from_masks(self.n, {m: Fraction(v, self.den) for m, v in self.nums.items()})
 
 
 def _statistic(n: int, den: int, acc) -> Statistic:
@@ -111,17 +109,20 @@ def builtin(name: str, n: int) -> Statistic:
     """The built-in statistics: "exc" (exceedances) and "maj" (major index).
 
     exc = sum over i < j of 1_{(i),(j)}; maj puts weight i on the descent
-    indicator 1_{(i,i+1),(k,j)} for every value pair j < k.
+    indicator 1_{(i,i+1),(k,j)} for every value pair j < k. Their terms are
+    counted first and refused past _MAX_TERMS unbuilt.
     """
     if n < 1:
         raise ParseError(f"ambient size must be >= 1, got {n}")
+    if name not in ("exc", "maj"):
+        raise ParseError(f"unknown builtin statistic {name!r}")
+    count = n * (n - 1) // 2  # C(n, 2) value pairs, one term each for exc and n - 1 for maj
+    check_guard(count if name == "exc" else (n - 1) * count, _MAX_TERMS, "statistic terms")
     values = list(combinations(range(1, n + 1), 2))  # every j < k
     if name == "exc":
         acc = {((j, k),): 1 for j, k in values}
-    elif name == "maj":
-        acc = {((i, k), (i + 1, j)): i for i in range(1, n) for j, k in values}
     else:
-        raise ParseError(f"unknown builtin statistic {name!r}")
+        acc = {((i, k), (i + 1, j)): i for i in range(1, n) for j, k in values}
     return _statistic(n, 1, acc)
 
 
@@ -207,8 +208,8 @@ def symmetrize(f: Statistic) -> ClassFunction:
             for m, v in _atomic_from_type(core, nu, f.n).items():
                 acc[m] = acc.get(m, 0) + c * v
     scale = f.den * math.factorial(f.n)
-    terms = {m: Fraction(v, scale) for m, v in acc.items() if v}
-    return ClassFunction(f.n, SymExpansion._from_masks(f.n, terms))
+    g = math.gcd(scale, *acc.values())
+    return ClassFunction(f.n, scale // g, {m: v // g for m, v in acc.items() if v})
 
 
 def class_eval(cf: ClassFunction, mu) -> Fraction:

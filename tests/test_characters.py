@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import pathmn.characters
 from pathmn import (
     POWER,
     GuardError,
@@ -31,6 +32,8 @@ from pathmn import (
     z_mu,
 )
 from pathmn.oracles import packed_pairs
+from pathmn.partial_perm import _graph_type
+from pathmn.ribbons import _shape, _stable_terms
 
 A7 = PartialPermutation(7, (1, 4, 5, 6, 7), (2, 5, 6, 4, 7))
 
@@ -143,6 +146,24 @@ def test_char_eval_keeps_only_shapes_above_the_path_factor():
     assert char_eval(stair, PartialPermutation(820, (1, 3, 4, 5), (2, 3, 4, 5))) == 0
     fixed = PartialPermutation(820, (1, 2, 3), (1, 2, 3))
     assert char_eval((818, 1, 1), fixed) == atomic_schur(fixed).coeff((818, 1, 1)) != 0
+
+
+def test_char_eval_floor_is_one_row(monkeypatch):
+    # the path factor holds the one-row shape (n - |nu|), so the shape inside
+    # every path shape, which char_eval passes as the chain's floor, is the
+    # least first row of the path factor
+    floors = []
+    chains = pathmn.characters._ribbon_chains
+    monkeypatch.setattr(pathmn.characters, "_ribbon_chains",
+                        lambda terms, alpha, floor=(): floors.append(floor) or chains(terms, alpha, floor))
+    for packed in packed_pairs(3):
+        for n in [*range(packed.n, 10), 1200]:
+            pp = embed(packed, n)
+            core, nu = _graph_type(pp.pairs())
+            path = _stable_terms(core, n - sum(nu))
+            floors.clear()
+            char_eval((n,) if n else (), pp)
+            assert floors == [tuple(map(min, zip(*map(_shape, path))))]
 
 
 def test_character_table_small():

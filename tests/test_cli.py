@@ -369,6 +369,16 @@ def test_statistic_product_guard_counts_pair_visits(capsys):
     )
 
 
+def test_builtin_statistic_guard_counts_terms(capsys):
+    # the terms are counted in closed form, so these are refused unbuilt
+    for name, n, count in [("maj", 1000, 499000500), ("exc", 100000, 4999950000)]:
+        _, err = run_cli(capsys, ["stat", name, "--n", str(n)], expect_rc=3)
+        assert err == (
+            f"refused: statistic terms = {count} exceeds the guard limit 250000"
+            " (set PATHMN_MAX_N to override)\n"
+        )
+
+
 def test_part_count_guard(capsys):
     # one recursion level per part: past the guard these died with RecursionError
     _, err = run_cli(capsys, ["path-expand", "1^1200"], expect_rc=3)

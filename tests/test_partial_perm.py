@@ -15,6 +15,7 @@ from pathmn import (
     pack,
     parse_pp,
     pp_from_graph_type,
+    syt_count,
 )
 from brute import all_perms, components_type, lis_length, partitions_list
 
@@ -138,6 +139,25 @@ def test_local_dimension_matches_lis_count():
         lengths = [lis_length(w) for w in all_perms(n)]
         for k in range(n):
             assert local_dimension(n, k) == sum(1 for m in lengths if m >= n - k)
+
+
+def test_local_dimension_matches_the_sum_over_all_partitions():
+    # only the shapes with a first row of at least n - k are visited
+    for n in range(1, 16):
+        squares = [(lam[0], syt_count(lam) ** 2) for lam in partitions_list(n)]
+        for k in range(n):
+            assert local_dimension(n, k) == sum(f2 for first, f2 in squares if first >= n - k)
+
+
+def test_local_dimension_at_n_1000():
+    # p(1000) has 31 digits; the hook lengths of the shapes with first row
+    # >= n - 3 give f = 1, n - 1, n(n - 3)/2, (n - 1)(n - 2)/2, n(n - 1)(n - 5)/6,
+    # n(n - 2)(n - 4)/3 and (n - 1)(n - 2)(n - 3)/6
+    n = 1000
+    f = [1, n - 1, n * (n - 3) // 2, (n - 1) * (n - 2) // 2,
+         n * (n - 1) * (n - 5) // 6, n * (n - 2) * (n - 4) // 3, (n - 1) * (n - 2) * (n - 3) // 6]
+    for k, shapes in enumerate([1, 2, 4, 7]):
+        assert local_dimension(n, k) == sum(x * x for x in f[:shapes])
 
 
 def test_local_dimension_range_errors():

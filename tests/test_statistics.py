@@ -14,6 +14,7 @@ from pathmn import (
     IndicatorTerm,
     ParseError,
     PartialPermutation,
+    SymExpansion,
     builtin,
     character_table,
     class_eval,
@@ -29,7 +30,6 @@ from pathmn import (
     symmetrize,
     variance_on_class,
 )
-from pathmn.ribbons import _mask
 from brute import all_perms, class_averages, cycle_type_of, exc_of, maj_of, merge_pairs
 
 
@@ -290,6 +290,20 @@ def test_stat_product_guard_counts_pair_visits(monkeypatch):
         assert stat_product(exc, g) == pairwise_product(6, exc.terms, g.terms)
 
 
+def test_builtin_guard_counts_terms(monkeypatch):
+    # exc has C(n, 2) terms and maj (n - 1)·C(n, 2), counted before any is built
+    for name, n, count in [("exc", 6, 15), ("maj", 6, 75)]:
+        monkeypatch.setenv("PATHMN_MAX_N", str(count - 1))
+        with pytest.raises(GuardError, match=f"statistic terms = {count} exceeds"):
+            builtin(name, n)
+        monkeypatch.setenv("PATHMN_MAX_N", str(count))
+        assert len(builtin(name, n).nums) == count
+    monkeypatch.delenv("PATHMN_MAX_N")
+    for name, n, count in [("exc", 708, 250278), ("maj", 81, 259200)]:
+        with pytest.raises(GuardError, match=f"statistic terms = {count} exceeds the guard limit 250000"):
+            builtin(name, n)
+
+
 def test_stat_product_edge_cases():
     def stat(n, *terms):
         return make_statistic(
@@ -322,7 +336,7 @@ def test_stat_product_edge_cases():
 
 def test_stat_product_builds_one_term_per_result(monkeypatch):
     # products and symmetrization run on pair tuples and integers: they build
-    # no partial permutation, no indicator term and no Fraction per term;
+    # no partial permutation, no indicator term and no Fraction at all;
     # reading .terms builds one of each per term
     maj6 = builtin("maj", 6)
     built, terms_built, fractions = [], [], []
@@ -348,9 +362,8 @@ def test_stat_product_builds_one_term_per_result(monkeypatch):
     result = stat_product(maj6, maj6)
     assert built == terms_built == fractions == []
     cf = symmetrize(result)
-    assert built == terms_built == []
-    assert len(fractions) == len(cf.schur.terms) > 0
-    fractions.clear()
+    assert built == terms_built == fractions == []
+    assert cf.nums
     terms = result.terms
     assert len(built) == len(terms_built) == len(fractions) == len(terms) == len(result.nums) > 0
 
@@ -540,22 +553,45 @@ def test_maj_squared_class_averages():
 
 
 def test_class_eval_converts_nothing_per_class(monkeypatch):
-    # a class function holds its integer numerators from the start, also one
-    # built by hand: reading a value converts no shape to a mask
+    # a class function is its integer numerators on masks, also one built by
+    # hand: symmetrizing and reading values decode no mask to a shape
+    shapes = []
+    decode = SymExpansion._from_masks.__func__
+    monkeypatch.setattr(SymExpansion, "_from_masks",
+                        classmethod(lambda cls, n, terms: shapes.append(terms) or decode(cls, n, terms)))
     pairs = []
     for name in ("exc", "maj"):
         for n in range(1, 9):
             f = builtin(name, n)
             cf = symmetrize(stat_product(f, f))
-            by_hand = pathmn.statistics.ClassFunction(n, cf.schur)
-            assert by_hand == cf and (by_hand.den, by_hand.nums) == (cf.den, cf.nums)
+            by_hand = pathmn.statistics.ClassFunction(n, cf.den, dict(cf.nums))
+            assert by_hand == cf
             pairs.append((cf, by_hand))
-    masks = []
-    monkeypatch.setattr(pathmn.statistics, "_mask", lambda lam: masks.append(lam) or _mask(lam))
     for cf, by_hand in pairs:
         for mu in partitions_of(cf.n):
             assert class_eval(by_hand, mu) == class_eval(cf, mu)
-    assert masks == []
+    assert shapes == []
+    # reading .schur decodes once per read
+    assert pairs[-1][1].schur == pairs[-1][0].schur and len(shapes) == 2
+
+
+def test_relabelled_statistics_give_equal_class_functions():
+    # conjugating a statistic by a relabelling of 1..n leaves R f alone; the
+    # numerators are reduced with den, so the two class functions are ==
+    rng = random.Random(19)
+    for n in range(2, 8):
+        for _ in range(4):
+            raw = [(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6)),
+                    tuple(rng.sample(range(1, n + 1), k)), tuple(rng.sample(range(1, n + 1), k)))
+                   for k in (1, 1, 2, 2, min(3, n))]
+            relabel = rng.sample(range(1, n + 1), n)
+            f = make_statistic(n, [IndicatorTerm(c, PartialPermutation(n, I, J)) for c, I, J in raw])
+            g = make_statistic(n, [IndicatorTerm(c, PartialPermutation(
+                n, tuple(relabel[i - 1] for i in I), tuple(relabel[j - 1] for j in J))) for c, I, J in raw])
+            for a, b in ((f, g), (stat_product(f, f), stat_product(g, g))):
+                cf, cg = symmetrize(a), symmetrize(b)
+                assert cf == cg and cf.nums and math.gcd(cf.den, *cf.nums.values()) == 1
+                assert all(v for v in cf.nums.values())
 
 
 def test_class_eval_removals_match_table_columns():
