@@ -13,7 +13,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from functools import cached_property
+from types import MappingProxyType
 
 from pathmn.errors import ParseError, check_guard
 from pathmn.partial_perm import PartialPermutation, _graph_type, decompose, embed, pack
@@ -95,14 +96,28 @@ def char_eval_direct(lam, pp: PartialPermutation) -> int:
 class CharacterTable:
     n: int
     shapes: tuple  # canonical order; indexes both rows (lam) and columns (mu)
-    entries: dict  # (lam, mu) -> integer chi^lam_mu
+    columns: tuple  # column mu: read-only {mask of lam: chi^lam_mu}, zeros left out
+
+    @cached_property
+    def entries(self) -> dict:
+        """(lam, mu) -> chi^lam_mu, built on first read."""
+        return {(lam, mu): v for lam, row in zip(self.shapes, self._rows())
+                for mu, v in zip(self.shapes, row)}
+
+    @cached_property
+    def _position(self) -> dict:
+        """shape -> its index in shapes, built on the first value read."""
+        return {s: i for i, s in enumerate(self.shapes)}
 
     def value(self, lam, mu) -> int:
-        return self.entries[(tuple(lam), tuple(sorted(mu, reverse=True)))]
+        lam, mu = tuple(lam), tuple(sorted(mu, reverse=True))
+        if lam not in self._position or mu not in self._position:
+            raise KeyError((lam, mu))
+        return self.columns[self._position[mu]].get(_mask(lam), 0)
 
     def _rows(self) -> list:
         """Row lam of the table is [chi^lam_mu for mu in shapes]."""
-        return [[self.entries[(lam, mu)] for mu in self.shapes] for lam in self.shapes]
+        return [[col.get(m, 0) for col in self.columns] for m in map(_mask, self.shapes)]
 
     def render(self) -> str:
         """Human format: a grid with right-aligned columns, labelled by shape."""
@@ -128,18 +143,14 @@ def character_table(n: int) -> CharacterTable:
     """Full table of chi^lam_mu for lam, mu partitions of n.
 
     Column mu is the Schur expansion of p_mu (Murnaghan-Nakayama: each p_r
-    adds ribbons), read from the shared prefix memo of _p_to_schur.
+    adds ribbons): the shared prefix memo's dict from _p_to_schur, kept as a
+    read-only view and read by mask, so no (lam, mu) pair is built.
     """
     if n < 0:
         raise ParseError(f"table size must be nonnegative, got {n}")
     check_guard(n, 20, "character table size n")
     shapes = tuple(canonical_order(partitions_of(n)))
-    masks = [_mask(lam) for lam in shapes]
-    entries = {}
-    for mu in shapes:
-        column = _p_to_schur(mu)
-        entries.update(zip(zip(shapes, repeat(mu)), map(column.get, masks, repeat(0))))
-    return CharacterTable(n, shapes, entries)
+    return CharacterTable(n, shapes, tuple(MappingProxyType(_p_to_schur(mu)) for mu in shapes))
 
 
 def support_check(expansion: SymExpansion, n: int, k: int) -> bool:

@@ -10,7 +10,8 @@ Schur coefficients against character values.
 Products run on bitmasks: a term is its pair, source and target masks, and two
 terms merge iff they share as many pairs as sources and as targets. A square
 visits each unordered pair of terms once. A product is refused before its loop
-past _MAX_VISITS pair visits. A ClassFunction holds integers on Maya masks.
+past _MAX_VISITS pair visits, and in it past _MAX_TERMS held terms. A
+ClassFunction holds integers on Maya masks.
 """
 
 import json
@@ -20,7 +21,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from pathmn.characters import _atomic_from_type
-from pathmn.errors import ParseError, check_guard, int_text, json_fields, read_int
+from pathmn.errors import (ParseError, check_guard, effective_limit, int_text, json_fields,
+                           read_int, refusal)
 # decompose is unused here but stays bound: perfbench's tracer test looks for it
 from pathmn.partial_perm import IndicatorTerm, PartialPermutation, _graph_type, decompose
 from pathmn.partitions import check_partition
@@ -42,7 +44,7 @@ __all__ = [
 ]
 
 _MAX_VISITS = 2_000_000  # about 0.4 s if few pairs merge, 3 s if most do; maj^3 at n = 8 visits 1,339,072
-_MAX_TERMS = 250_000  # a built-in statistic's terms: about 0.7 s and 90 MB to build; maj at n = 80 has 249,640
+_MAX_TERMS = 250_000  # a built-in's or a product's terms; maj at n = 80 has 249,640 (0.7 s, 90 MB to build)
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,8 @@ def stat_product(f: Statistic, g: Statistic) -> Statistic:
     (f == g) visits each unordered pair of terms once and doubles the products
     off the diagonal. Numerators add up over the product of the denominators;
     each distinct merged mask is decoded once, low bit first, so its pairs come
-    out sorted. Refused before the loop past _MAX_VISITS pair visits.
+    out sorted. Refused before the loop past _MAX_VISITS pair visits, and
+    after any outer term that leaves more than _MAX_TERMS terms held (memory).
     """
     if f.n != g.n:
         raise ParseError(f"ambient sizes differ: {f.n} vs {g.n}")
@@ -145,6 +148,7 @@ def stat_product(f: Statistic, g: Statistic) -> Statistic:
     square = f == g
     visits = len(f.nums) * (len(f.nums) + 1) // 2 if square else len(f.nums) * len(g.nums)
     check_guard(visits, _MAX_VISITS, "statistic product pair visits")
+    limit = effective_limit(_MAX_TERMS)
     pair_at = {}
     a = _term_masks(f, pair_at)
     b = a if square else _term_masks(g, pair_at)
@@ -159,6 +163,8 @@ def stat_product(f: Statistic, g: Statistic) -> Statistic:
             if (P & Q).bit_count() == (D & E).bit_count() == (R & T).bit_count():
                 key = P | Q
                 acc[key] = acc.get(key, 0) + ca * cb
+        if len(acc) > limit:
+            raise refusal("statistic product terms", len(acc), limit)
     return _statistic(f.n, f.den * g.den, {_pairs(m, pair_at): c for m, c in acc.items() if c})
 
 

@@ -33,7 +33,8 @@ from pathmn import (
 )
 from pathmn.oracles import packed_pairs
 from pathmn.partial_perm import _graph_type
-from pathmn.ribbons import _shape, _stable_terms
+from pathmn.ribbons import _mask, _shape, _stable_terms
+from pathmn.symfunc import _p_to_schur
 
 A7 = PartialPermutation(7, (1, 4, 5, 6, 7), (2, 5, 6, 4, 7))
 
@@ -305,6 +306,42 @@ def test_character_table_matches_skew_mn():
                 value = t.value(lam, mu)
                 assert type(value) is int
                 assert value == skew_mn(lam, mu)
+
+
+def test_character_table_reads_its_columns():
+    # the table holds one read-only p_mu column per mu; its readers build no
+    # (lam, mu) dict, and entries is built from the columns on first read
+    clear_caches()
+    table = character_table(6)
+    for read in (table.render, table.to_csv, table.to_json, lambda: table.value((3, 2, 1), (2, 2, 1, 1))):
+        read()
+    assert "entries" not in vars(table)
+    assert table.entries is table.entries and "entries" in vars(table)
+    for n in range(11):
+        t = character_table(n)
+        assert t.entries == {(lam, mu): _p_to_schur(mu).get(_mask(lam), 0)
+                             for mu in t.shapes for lam in t.shapes}
+        assert all(type(v) is int for v in t.entries.values())
+
+
+def test_character_table_columns_are_read_only():
+    table = character_table(5)
+    memo = {mu: dict(_p_to_schur(mu)) for mu in table.shapes}
+    for i, mu in enumerate(table.shapes):
+        with pytest.raises(TypeError):
+            table.columns[i][_mask(mu)] = 7
+        with pytest.raises(TypeError):
+            del table.columns[i][_mask((5,))]
+    assert {mu: _p_to_schur(mu) for mu in table.shapes} == memo
+
+
+def test_character_table_value_outside_the_table():
+    table = character_table(4)
+    assert table.value((2, 1, 1), [1, 2, 1]) == table.value((2, 1, 1), (2, 1, 1)) == -1
+    for lam, mu in [((5,), (4,)), ((4,), (5,)), ((1, 3), (4,)), ((4,), (0, 4)), ((2, 2, 0), (4,)),
+                    ((3,), (4,)), ((4,), (2, 1))]:
+        with pytest.raises(KeyError):
+            table.value(lam, mu)
 
 
 def test_character_table_guards():

@@ -369,6 +369,20 @@ def test_statistic_product_guard_counts_pair_visits(capsys):
     )
 
 
+def test_statistic_product_guard_counts_held_terms(capsys, monkeypatch):
+    # maj^2 at n = 6 holds 695 terms, 607 after the outer term that passes 600;
+    # the limit is lowered past PATHMN_MAX_N's reach, since a product holds no
+    # more terms than it visits pairs
+    monkeypatch.setattr("pathmn.statistics._MAX_TERMS", 600)
+    clear_caches()
+    _, err = run_cli(capsys, ["stat", "maj", "--n", "6", "--moment", "2"], expect_rc=3)
+    assert err == (
+        "refused: statistic product terms = 607 exceeds the guard limit 600"
+        " (set PATHMN_MAX_N to override)\n"
+    )
+    clear_caches()
+
+
 def test_builtin_statistic_guard_counts_terms(capsys):
     # the terms are counted in closed form, so these are refused unbuilt
     for name, n, count in [("maj", 1000, 499000500), ("exc", 100000, 4999950000)]:

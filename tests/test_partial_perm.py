@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import pathmn.partial_perm
 from pathmn import (
     GraphType,
     ParseError,
@@ -158,6 +159,30 @@ def test_local_dimension_at_n_1000():
          n * (n - 1) * (n - 5) // 6, n * (n - 2) * (n - 4) // 3, (n - 1) * (n - 2) * (n - 3) // 6]
     for k, shapes in enumerate([1, 2, 4, 7]):
         assert local_dimension(n, k) == sum(x * x for x in f[:shapes])
+
+
+def test_local_dimension_near_k_equal_n_minus_1(monkeypatch):
+    # fewer shapes have a first row below n - k: those are visited and their
+    # squares taken from n!, so no partition of 60 but 1^60 is visited
+    visited = []
+
+    def counting(lam):
+        visited.append(lam)
+        return syt_count(lam)
+
+    monkeypatch.setattr(pathmn.partial_perm, "syt_count", counting)
+    assert local_dimension(60, 59) == math.factorial(60)
+    assert visited == []
+    assert local_dimension(60, 58) == math.factorial(60) - 1
+    assert visited == [(1,) * 60]
+    # at every size the side with fewer shapes is the one visited
+    for n in range(1, 13):
+        firsts = [lam[0] for lam in partitions_list(n)]
+        for k in range(n):
+            above = sum(1 for first in firsts if first >= n - k)
+            visited.clear()
+            local_dimension(n, k)
+            assert len(visited) == min(above, len(firsts) - above)
 
 
 def test_local_dimension_range_errors():

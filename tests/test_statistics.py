@@ -290,6 +290,34 @@ def test_stat_product_guard_counts_pair_visits(monkeypatch):
         assert stat_product(exc, g) == pairwise_product(6, exc.terms, g.terms)
 
 
+def test_stat_product_guard_counts_held_terms(monkeypatch):
+    # the terms held are counted after each outer term; a product never holds
+    # more terms than it visits pairs, so under PATHMN_MAX_N the visit guard
+    # fires first and only a lowered _MAX_TERMS reaches this one
+    monkeypatch.delenv("PATHMN_MAX_N", raising=False)
+    exc, maj = builtin("exc", 6), builtin("maj", 6)
+    default = pathmn.statistics._MAX_TERMS
+    for f, g, held in [(exc, exc, 80), (exc, maj, 554), (maj, maj, 695)]:
+        clear_caches()
+        assert len(stat_product(f, g).nums) == held  # positive weights: nothing cancels
+        assert held <= len(f.nums) * len(g.nums)
+        monkeypatch.setattr(pathmn.statistics, "_MAX_TERMS", held - 1)
+        clear_caches()
+        with pytest.raises(GuardError, match=f"statistic product terms = {held} exceeds the guard limit {held - 1} "):
+            stat_product(f, g)
+        monkeypatch.setattr(pathmn.statistics, "_MAX_TERMS", held)
+        clear_caches()
+        assert len(stat_product(f, g).nums) == held
+        monkeypatch.setattr(pathmn.statistics, "_MAX_TERMS", default)
+    # a low limit stops the loop within one outer term of passing it
+    monkeypatch.setattr(pathmn.statistics, "_MAX_TERMS", 10)
+    clear_caches()
+    with pytest.raises(GuardError, match="statistic product terms") as refused:
+        stat_product(maj, maj)
+    count = int(str(refused.value).split(" = ")[1].split()[0])
+    assert 10 < count <= 10 + len(maj.nums)
+
+
 def test_builtin_guard_counts_terms(monkeypatch):
     # exc has C(n, 2) terms and maj (n - 1)·C(n, 2), counted before any is built
     for name, n, count in [("exc", 6, 15), ("maj", 6, 75)]:
