@@ -19,7 +19,6 @@ from types import MappingProxyType
 from pathmn.errors import ParseError, check_guard
 from pathmn.partial_perm import PartialPermutation, _graph_type, decompose, embed, pack
 from pathmn.partitions import (
-    canonical_order,
     check_partition,
     contains,
     format_partition,
@@ -149,7 +148,7 @@ def character_table(n: int) -> CharacterTable:
     if n < 0:
         raise ParseError(f"table size must be nonnegative, got {n}")
     check_guard(n, 20, "character table size n")
-    shapes = tuple(canonical_order(partitions_of(n)))
+    shapes = tuple(partitions_of(n))
     return CharacterTable(n, shapes, tuple(MappingProxyType(_p_to_schur(mu)) for mu in shapes))
 
 

@@ -69,8 +69,7 @@ def effective_limit(default):
     """Size limit after applying the PATHMN_MAX_N environment override.
 
     The override is global: it replaces the default limit of every guard in the
-    package (the part guard it only lowers). Guards are hard errors, never silent
-    truncation.
+    package. Guards are hard errors, never silent truncation.
     """
     raw = _override()
     return default if raw is None else read_int(raw, "PATHMN_MAX_N")

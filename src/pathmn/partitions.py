@@ -113,15 +113,25 @@ def pad_column(mu, n: int) -> tuple:
 
 
 def partitions_of(n: int, max_part=None) -> Iterator[tuple]:
-    """All partitions of n, in descending lexicographic (canonical) order."""
-    if max_part is None:
-        max_part = n
+    """All partitions of n into parts <= max_part (default n), in descending lexicographic
+    (canonical) order: each lowers the last part above 1 of the one before, then refills."""
     if n == 0:
         yield ()
         return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
+    top = n if max_part is None else min(n, max_part)
+    if top < 1:
+        return
+    parts = [top] * (n // top) + ([n % top] if n % top else [])
+    while True:
+        yield tuple(parts)
+        cells = 0
+        while parts and parts[-1] == 1:
+            cells += parts.pop()
+        if not parts:
+            return
+        v = parts.pop() - 1
+        q, r = divmod(cells + v + 1, v)
+        parts += [v] * q + ([r] if r else [])
 
 
 def canonical_order(shapes) -> list:

@@ -16,14 +16,14 @@ Two loops run on the step, each guarded by counting what it holds: the
 Murnaghan-Nakayama chain _ribbon_chains (power sums, cycle parts; up or down)
 refuses a step that leaves over _MAX_SHAPES shapes, and the tiling walk
 _monotonic_walk (path parts) past _MAX_NODES nodes. PATHMN_MAX_N replaces both.
-The stable formula walks each core once for every n (_frozen_prefixes), so a
-core's walk is counted once too.
+Both are loops (the walk keeps a stack of candidate iterators), so no part
+takes a stack frame. The stable formula walks each core once for every n
+(_frozen_prefixes), so a core's walk is counted once too.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
 
 from pathmn.errors import ParseError, effective_limit, refusal
 from pathmn.partitions import (
@@ -196,7 +196,7 @@ class MonotonicTiling:
 
     @property
     def sign(self) -> int:
-        return reduce(lambda a, b: a * b, self.signs, 1)
+        return math.prod(self.signs)
 
     @property
     def size(self) -> int:
@@ -228,40 +228,44 @@ def enumerate_monotonic(mu, min_tail_row: int = 1, extra_ones: int = 0):
 def _monotonic_walk(mu, min_tail_row, extra_ones):
     """enumerate_monotonic on masks: yields the live list of steps (mask, size,
     tail row, tail column, sign so far), root first, and the live dict of sizes
-    left to place; both change when the walk resumes. Refused past _MAX_NODES
-    nodes (calls of dfs), and before any step when a part alone must pass them."""
+    left to place; both change when the walk resumes. A loop over a stack of
+    each node's untried candidates, nodes in pre-order. Refused past _MAX_NODES
+    nodes, and before any step when a part alone must pass them."""
     remaining = multiplicities(mu)
     if extra_ones:
         remaining[1] = remaining.get(1, 0) + extra_ones
     steps = [(0, 0, math.inf, 0, 1)]
     limit = effective_limit(_MAX_NODES)
-    nodes = itertools.count(1)
     # the root's step of size r alone has r - 1 or more children, so it must pass the limit
     if max(remaining, default=0) > limit:
         raise refusal("monotonic walk nodes", limit + 1, limit)
 
-    def dfs(left):
-        if next(nodes) > limit:
-            raise refusal("monotonic walk nodes", limit + 1, limit)
-        m, _, last_row, last_col, sign = steps[-1]
-        # complete tilings, and in a frozen search every prefix (itself frozen)
-        if min_tail_row > 1 or not left:
-            yield steps, remaining
-        # a lower tail gives a smaller shape: this is (tail column, size, shape) order
-        candidates = sorted(
-            (col, size, -row, q, s * sign)
-            for size, count in remaining.items() if count
-            for q, s, row, col in _ribbon_step(m, size)
-            if col > last_col and min_tail_row <= row <= last_row
-        )
-        for col, size, row, q, s in candidates:
+    def walk():
+        full = len(steps) + sum(remaining.values())  # the steps of a complete tiling
+        pending = []  # per node from the root down, its candidates not yet tried
+        for _ in range(limit):  # one pass per node
+            m, _, last_row, last_col, sign = steps[-1]
+            # complete tilings, and in a frozen search every prefix (itself frozen)
+            if min_tail_row > 1 or len(steps) == full:
+                yield steps, remaining
+            # a lower tail gives a smaller shape: this is (tail column, size, shape) order
+            pending.append(iter(sorted(
+                (col, size, -row, q, s * sign)
+                for size, count in remaining.items() if count
+                for q, s, row, col in _ribbon_step(m, size)
+                if col > last_col and min_tail_row <= row <= last_row
+            )))
+            while (step := next(pending[-1], None)) is None:
+                pending.pop()
+                if not pending:
+                    return
+                remaining[steps.pop()[1]] += 1
+            col, size, row, q, s = step
             remaining[size] -= 1
             steps.append((q, size, -row, col, s))
-            yield from dfs(left - 1)
-            steps.pop()
-            remaining[size] += 1
+        raise refusal("monotonic walk nodes", limit + 1, limit)
 
-    return dfs(sum(remaining.values()))
+    return walk()
 
 
 def tiling_from_type_depth(alpha, depths):

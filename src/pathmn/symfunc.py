@@ -10,10 +10,6 @@ linear in the text: the shared factor of its integers is converted to decimal
 once (a small memo keeps it for the other expansions of one n) and each distinct
 quotient once, the rest through errors.int_text, and to_json writes its JSON
 without json.dumps. from_json reads the integers back through errors.read_int.
-
-Ribbons are added by the chain and the walk of ribbons, which count the shapes
-and nodes they hold; the power sums here guard only their number of parts, a
-limit PATHMN_MAX_N lowers but never raises (each part is a recursion level).
 """
 
 import csv
@@ -22,7 +18,7 @@ import math
 from decimal import MAX_EMAX, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 
-from pathmn.errors import GuardError, ParseError, effective_limit, int_text, json_fields, read_int
+from pathmn.errors import ParseError, int_text, json_fields, read_int
 from pathmn.partitions import (
     check_composition,
     check_partition,
@@ -50,8 +46,6 @@ POWER = "power"
 PATH = "path"
 
 _SYMBOL = {SCHUR: "s", POWER: "p", PATH: "P"}
-
-_MAX_PARTS = 400  # recursion depth grows with the parts: 987 stop path-expand
 
 # Unicode used by the human renderer: a middle dot between coefficient and
 # basis element, and a true minus sign between terms.
@@ -232,28 +226,21 @@ def mult_by_power(f: SymExpansion, r: int) -> SymExpansion:
 
 @memo
 def _p_to_schur(mu) -> dict:
-    """p_mu as {mask: int}, its parts added last to first (a shared prefix memo)."""
+    """p_mu as {mask: int}, its parts added last to first (a shared suffix memo,
+    filled shortest suffix first by power_to_schur, so no call recurses deeper)."""
     if not mu:
         return {0: 1}
     return _ribbon_chains(_p_to_schur(mu[1:]), mu[:1])
-
-
-def _check_parts(count):
-    """The part guard. _p_to_schur and the tiling walk recurse once per part,
-    so PATHMN_MAX_N can lower this limit but not raise it past _MAX_PARTS."""
-    limit = min(effective_limit(_MAX_PARTS), _MAX_PARTS)
-    if count > limit:
-        raise GuardError(f"number of parts = {count} exceeds the guard limit {limit}"
-                         " (one recursion level per part; PATHMN_MAX_N can only lower it)")
 
 
 def power_to_schur(f: SymExpansion) -> SymExpansion:
     """Rewrite a power-basis expansion in the Schur basis, term by term."""
     if f.basis != POWER:
         raise ParseError("power_to_schur needs a power-basis expansion")
-    _check_parts(max(map(len, f.terms), default=0))
     out = {}
     for mu, c in f.terms.items():
+        for i in reversed(range(1, len(mu))):  # suffixes shortest first: one call deep
+            _p_to_schur(mu[i:])
         for m, v in _p_to_schur(mu).items():
             out[m] = out.get(m, 0) + c * v
     return SymExpansion._from_masks(f.degree, out)
@@ -298,7 +285,6 @@ def path_power_to_schur(mu) -> SymExpansion:
     """Schur expansion of the path power sum: m(mu)! times the signed tally of
     monotonic ribbon tilings with size multiset mu, grouped by shape."""
     mu = check_partition(tuple(sorted(mu, reverse=True)))
-    _check_parts(len(mu))
     m = mult_factorial(mu)
     tally = tiling_tally(mu)
     return SymExpansion(SCHUR, sum(mu), {shape: m * c for shape, c in tally.items()})

@@ -35,6 +35,7 @@ from pathmn.oracles import packed_pairs
 from pathmn.partial_perm import _graph_type
 from pathmn.ribbons import _mask, _shape, _stable_terms
 from pathmn.symfunc import _p_to_schur
+from brute import components_type
 
 A7 = PartialPermutation(7, (1, 4, 5, 6, 7), (2, 5, 6, 4, 7))
 
@@ -422,3 +423,18 @@ def test_coefficient_polynomiality_errors():
         coefficient_polynomiality(pp, (1,), range(1, 8))
     with pytest.raises(ParseError):
         coefficient_polynomiality(pp, (), range(4, 6))
+
+
+@pytest.mark.parametrize("max_k, n", [(3, 100), (2, 1200)])
+def test_atomic_schur_column_orthogonality_at_large_n(max_k, n):
+    # Column orthogonality against mu = 1^n and mu = (n) holds at any n, so it
+    # checks the frozen walk where brute force cannot reach:
+    # sum_lam f^lam chi^lam([I,J]) = n! if I = J pointwise, else 0; and the sum
+    # over hooks of (-1)^leg chi^lam([I,J]) = n (n - k - 1)! without a cycle, else 0
+    for packed in packed_pairs(max_k):
+        pp = embed(packed, n)
+        terms = atomic_schur(pp).terms
+        assert sum(syt_count(lam) * c for lam, c in terms.items()) == (math.factorial(n) if pp.I == pp.J else 0)
+        hooks = sum((-1) ** (len(lam) - 1) * c for lam, c in terms.items() if lam[1:2] in ((), (1,)))
+        _, cycles = components_type(n, list(zip(pp.I, pp.J)))
+        assert hooks == (0 if cycles else n * math.factorial(n - pp.k - 1))

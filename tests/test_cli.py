@@ -393,14 +393,17 @@ def test_builtin_statistic_guard_counts_terms(capsys):
         )
 
 
-def test_part_count_guard(capsys):
-    # one recursion level per part: past the guard these died with RecursionError
-    _, err = run_cli(capsys, ["path-expand", "1^1200"], expect_rc=3)
-    assert err.startswith("refused: number of parts = ")
+def test_power_sums_take_any_number_of_parts(capsys):
+    # the chain and the walk are loops: past 400 parts these were refused, and
+    # past about 990 parts they died with RecursionError
+    out, _ = run_cli(capsys, ["path-expand", "1^1200"])
+    assert out == f"{math.factorial(1200)}·s[1200]\n"
+    # p_{1^1000} is refused by what it builds, every partition of the degree
     _, err = run_cli(capsys, ["p-expand", "1^1000"], expect_rc=3)
-    assert err.startswith("refused: number of parts = ")
-    out, _ = run_cli(capsys, ["path-expand", "1^400"])
-    assert out == f"{math.factorial(400)}·s[400]\n"
+    assert err == (
+        "refused: ribbon chain shapes = 6842 exceeds the guard limit 5604"
+        " (set PATHMN_MAX_N to override)\n"
+    )
 
 
 def test_power_sum_degree_guard(capsys):
@@ -705,18 +708,18 @@ def test_plain_integer_spellings_keep_their_values(capsys, monkeypatch):
     ) == SymExpansion(SCHUR, 2, {(2,): Fraction(3, 2)})
 
 
-def test_part_guard_is_never_raised_by_the_override(capsys, monkeypatch):
-    # _p_to_schur and the tiling walk recurse once per part: these died with RecursionError
-    monkeypatch.setenv("PATHMN_MAX_N", "100000")
-    for argv in (["p-expand", "1^1200"], ["path-expand", "2^1200"], ["p-expand", "2^990"]):
-        _, err = run_cli(capsys, argv, expect_rc=3)
-        assert err.startswith(f"refused: number of parts = {argv[1][2:]} exceeds the guard limit 400 ")
-    out, _ = run_cli(capsys, ["path-expand", "1^400"])
-    assert out == f"{math.factorial(400)}·s[400]\n"
-    # it still lowers the guard
+def test_the_override_sets_the_chain_and_walk_guards_at_any_part_count(capsys, monkeypatch):
+    # no guard counts parts: the override, raised or lowered, meets the chain's shapes and the walk's nodes
+    monkeypatch.setenv("PATHMN_MAX_N", "1000")
+    _, err = run_cli(capsys, ["p-expand", "1^1200"], expect_rc=3)
+    assert err == "refused: ribbon chain shapes = 1002 exceeds the guard limit 1000 (set PATHMN_MAX_N to override)\n"
+    _, err = run_cli(capsys, ["path-expand", "2^1200"], expect_rc=3)
+    assert err == "refused: monotonic walk nodes = 1001 exceeds the guard limit 1000 (set PATHMN_MAX_N to override)\n"
+    # a memoized column is not counted again, and 1^1200 left p_{1^4} in the memo
+    clear_caches()
     monkeypatch.setenv("PATHMN_MAX_N", "3")
     _, err = run_cli(capsys, ["p-expand", "1^4"], expect_rc=3)
-    assert err.startswith("refused: number of parts = 4 exceeds the guard limit 3 ")
+    assert err == "refused: ribbon chain shapes = 5 exceeds the guard limit 3 (set PATHMN_MAX_N to override)\n"
 
 
 def test_a_step_past_the_limit_is_refused_before_it_is_built(capsys, monkeypatch):

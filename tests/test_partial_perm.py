@@ -185,6 +185,12 @@ def test_local_dimension_near_k_equal_n_minus_1(monkeypatch):
             assert len(visited) == min(above, len(firsts) - above)
 
 
+def test_local_dimension_near_k_equal_n_minus_1_at_n_1000():
+    # the side visited is 1^1000, listed without a stack frame per part (it was a RecursionError)
+    assert local_dimension(1000, 998) == math.factorial(1000) - 1
+    assert local_dimension(1000, 999) == math.factorial(1000)
+
+
 def test_local_dimension_range_errors():
     with pytest.raises(ParseError):
         local_dimension(4, -1)

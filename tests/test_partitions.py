@@ -24,7 +24,7 @@ from pathmn import (
     syt_count,
     z_mu,
 )
-from brute import syt_brute
+from brute import partitions_list, syt_brute
 
 
 def test_is_partition():
@@ -118,6 +118,23 @@ def test_partitions_of_counts_and_order():
         (2, 1, 1, 1),
         (1, 1, 1, 1, 1),
     ]
+
+
+def test_partitions_of_matches_the_recursive_reference():
+    # the iterative successor lists what the recursion lists, for every cap
+    for n in range(21):
+        assert list(partitions_of(n)) == partitions_list(n)
+        for max_part in range(n + 2):
+            assert list(partitions_of(n, max_part)) == partitions_list(n, max_part)
+    assert list(partitions_of(0, -1)) == [()]
+    assert list(partitions_of(3, -1)) == [] and list(partitions_of(-1)) == []
+
+
+def test_partitions_of_lists_thousands_of_parts():
+    # one stack frame for any number of parts; p(3000) itself has 57 digits
+    assert list(partitions_of(3000, 1)) == [(1,) * 3000]
+    parts = list(partitions_of(3000, 2))
+    assert len(parts) == 1501 and parts[0] == (2,) * 1500 and parts[-1] == (1,) * 3000
 
 
 def test_canonical_order():
