@@ -73,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p, expansion=False)
 
     p = sub.add_parser("stat", help="symmetrize a statistic: print ch_n(R f^moment)")
-    p.add_argument("stat", help='"exc", "maj", or a JSON statistic file')
+    names = ", ".join(map(json.dumps, statistics.BUILTINS))
+    p.add_argument("stat", help=f"{names}, or a JSON statistic file")
     p.add_argument("--n", help="ambient size (required for builtins)")
     p.add_argument("--moment", default="1")
     add_format(p)
@@ -171,7 +172,7 @@ def _cmd_table(args):
 
 def _cmd_stat(args):
     moment = read_int(args.moment, "--moment")
-    if args.stat in ("exc", "maj"):
+    if args.stat in statistics.BUILTINS:
         if args.n is None:
             raise ParseError(f'builtin statistic "{args.stat}" needs --n')
         f = statistics.builtin(args.stat, read_int(args.n, "--n"))

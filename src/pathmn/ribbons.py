@@ -10,7 +10,8 @@ step, _ribbon_step: move a bead from b to an empty b + r, up to add an r-ribbon
 beads. The sign is the parity of the beads jumped.
 Chains and walks step the same shapes over and over, so the step is memoized
 once for every caller, in a memo bounded to the _MAX_STEPS steps used last.
-Public results are tuples; the alternant oracle stays on tuples, independent.
+Public results are tuples: a tiling keeps the walk's masks and decodes its
+chain and shape when read. The alternant oracle stays on tuples, independent.
 
 Two loops run on the step, each guarded by counting what it holds: the
 Murnaghan-Nakayama chain _ribbon_chains (power sums, cycle parts; up or down)
@@ -179,28 +180,29 @@ def skew_mn(outer, alpha, inner=()) -> int:
 class MonotonicTiling:
     """Ribbon decomposition with column-distinct tails, shallower left to right.
 
-    chain holds the prefix partitions () = lam^0 < ... < lam^r; type/depth are
-    the ribbon sizes and tail rows read left to right, tail_cols the (strictly
-    increasing) tail columns. (type, depth) determines the tiling uniquely.
+    masks holds the prefix partitions () = lam^0 < ... < lam^r as Maya masks, which
+    chain and shape decode when read; type/depth are the ribbon sizes and tail
+    rows read left to right, tail_cols the (strictly increasing) tail columns.
+    (type, depth) determines the tiling uniquely.
     """
 
-    chain: tuple
+    masks: tuple
     type: tuple
     depth: tuple
     tail_cols: tuple
     signs: tuple = field(compare=False)
 
     @property
+    def chain(self) -> tuple:
+        return tuple(map(_shape, self.masks))
+
+    @property
     def shape(self) -> tuple:
-        return self.chain[-1]
+        return _shape(self.masks[-1])
 
     @property
     def sign(self) -> int:
         return math.prod(self.signs)
-
-    @property
-    def size(self) -> int:
-        return sum(self.type)
 
     def is_frozen(self) -> bool:
         return all(row >= 2 for row in self.depth)
@@ -222,7 +224,7 @@ def enumerate_monotonic(mu, min_tail_row: int = 1, extra_ones: int = 0):
     for steps, _ in _monotonic_walk(mu, min_tail_row, extra_ones):
         masks, types, depths, cols, prefix = zip(*steps)
         signs = tuple(a * b for a, b in zip(prefix, prefix[1:]))
-        yield MonotonicTiling(tuple(map(_shape, masks)), types[1:], depths[1:], cols[1:], signs)
+        yield MonotonicTiling(masks, types[1:], depths[1:], cols[1:], signs)
 
 
 def _monotonic_walk(mu, min_tail_row, extra_ones):
@@ -287,16 +289,16 @@ def tiling_from_type_depth(alpha, depths):
             return None
         steps.append(match[0])
     masks, signs, _, cols = zip(*steps)
-    return MonotonicTiling(tuple(map(_shape, masks)), alpha, depths, cols[1:], signs[1:])
+    return MonotonicTiling(masks, alpha, depths, cols[1:], signs[1:])
 
 
 @memo
 def tiling_tally(mu) -> dict:
-    """shape -> sum of sign(T) over monotonic tilings with size multiset mu."""
+    """shape -> sum of sign(T) over monotonic tilings with size multiset mu, by last mask."""
     tally = {}
     for t in enumerate_monotonic(mu):
-        tally[t.shape] = tally.get(t.shape, 0) + t.sign
-    return {shape: v for shape, v in tally.items() if v}
+        tally[t.masks[-1]] = tally.get(t.masks[-1], 0) + t.sign
+    return {_shape(m): v for m, v in tally.items() if v}
 
 
 def path_chi(lam, mu) -> int:
@@ -390,8 +392,8 @@ def render_tiling(t: MonotonicTiling) -> str:
     if not shape:
         return "(empty tiling)"
     owner = {}
-    for step in range(1, len(t.chain)):
-        prev, cur = t.chain[step - 1], t.chain[step]
+    chain = t.chain  # a property: each read decodes every mask
+    for step, (prev, cur) in enumerate(zip(chain, chain[1:]), start=1):
         for r in range(len(cur)):
             before = prev[r] if r < len(prev) else 0
             for c in range(before, cur[r]):

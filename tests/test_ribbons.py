@@ -8,6 +8,7 @@ import pytest
 
 import pathmn
 from pathmn import (
+    MonotonicTiling,
     ParseError,
     PartialPermutation,
     add_ribbons,
@@ -333,6 +334,44 @@ def test_tiling_from_type_depth():
     assert tiling_from_type_depth((5, 3, 3), (3, 2, 1)) is None
     with pytest.raises(ParseError):
         tiling_from_type_depth((2, 1), (1,))
+
+
+def test_tilings_hold_int_masks_and_decode_their_chain_on_read():
+    for n in range(8):
+        for mu in partitions_of(n):
+            for t in enumerate_monotonic(mu):
+                assert all(type(m) is int for m in t.masks)
+                assert t.chain == tuple(map(_shape, t.masks)) and t.shape == t.chain[-1]
+                rebuilt = tiling_from_type_depth(t.type, t.depth)
+                assert all(type(m) is int for m in rebuilt.masks)
+                assert rebuilt.chain == tuple(map(_shape, rebuilt.masks)) == t.chain
+    assert not hasattr(MonotonicTiling, "size")
+
+
+def test_tiling_tally_matches_a_tally_of_decoded_shapes():
+    # same keys in the same order as tallying t.chain[-1]
+    clear_caches()
+    for n in range(10):
+        for mu in partitions_of(n):
+            decoded = {}
+            for t in enumerate_monotonic(mu):
+                decoded[t.chain[-1]] = decoded.get(t.chain[-1], 0) + t.sign
+            expected = [(shape, v) for shape, v in decoded.items() if v]
+            assert list(tiling_tally(mu).items()) == expected
+
+
+def test_tiling_tally_decodes_each_nonzero_shape_once(monkeypatch):
+    calls = []
+
+    def counting_shape(m):
+        calls.append(m)
+        return _shape(m)
+
+    monkeypatch.setattr(pathmn.ribbons, "_shape", counting_shape)
+    clear_caches()
+    tally = tiling_tally((4, 4, 3, 2, 1))
+    assert len(calls) == len(tally) == len(set(calls))
+    assert sum(1 for _ in enumerate_monotonic((4, 4, 3, 2, 1))) > 10 * len(tally)
 
 
 def test_path_chi():

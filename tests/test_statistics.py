@@ -29,6 +29,7 @@ from pathmn import (
     stat_to_json,
     symmetrize,
     variance_on_class,
+    z_mu,
 )
 from brute import all_perms, class_averages, cycle_type_of, exc_of, maj_of, merge_pairs
 
@@ -177,8 +178,9 @@ def test_stat_product_identity_and_errors():
     assert stat_product(ident, e5) == e5
     with pytest.raises(ParseError):
         stat_product(builtin("exc", 4), builtin("exc", 5))
-    with pytest.raises(GuardError):
-        stat_product(builtin("exc", 13), builtin("exc", 13))
+    # a product is refused on its pair visits and held terms only, at any n
+    e13 = builtin("exc", 13)
+    assert stat_product(e13, e13) == pairwise_product(13, e13.terms, e13.terms)
 
 
 def pairwise_product(n, f_terms, g_terms):
@@ -549,6 +551,19 @@ def test_class_eval_exc_squared_closed_form():
                 3 * m1 * m1 - 6 * m1 * n + 3 * n * n + n - m1 - 2 * m2, 12
             )
             assert class_eval(cf, mu) == expect
+
+
+@pytest.mark.parametrize("name, n", [("exc", 6), ("maj", 6), ("exc", 13), ("exc", 16)])
+def test_class_average_of_a_square_is_the_second_moment(name, n):
+    # sum over classes of class_eval / z_mu averages over S_n; exc has mean
+    # (n - 1)/2 and variance (n + 1)/12, maj mean n(n - 1)/4 and variance n(n - 1)(2n + 5)/72
+    f = builtin(name, n)
+    cf = symmetrize(stat_product(f, f))
+    average = sum(class_eval(cf, mu) / z_mu(mu) for mu in partitions_of(n))
+    if name == "exc":
+        assert average == Fraction(n + 1, 12) + Fraction(n - 1, 2) ** 2
+    else:
+        assert average == Fraction(n * (n - 1) * (2 * n + 5), 72) + Fraction(n * (n - 1), 4) ** 2
 
 
 def test_variance_on_class_exc():
