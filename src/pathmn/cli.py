@@ -125,7 +125,12 @@ def _cmd_path_expand(args):
     if args.show_tilings and args.format != "human":
         raise ParseError(f"--show-tilings needs --format human, got {args.format}")
     mu = tuple(sorted(parse_composition(args.mu), reverse=True))
-    _print_expansion(symfunc.path_power_to_schur(mu), args)
+    exp = symfunc.path_power_to_schur(mu)
+    if args.show_tilings:
+        # walked once dry, holding none, so that a refused walk prints nothing
+        for _ in ribbons.enumerate_monotonic(mu):
+            pass
+    _print_expansion(exp, args)
     if args.show_tilings:
         for idx, t in enumerate(ribbons.enumerate_monotonic(mu), start=1):
             sign = "+" if t.sign > 0 else "-"

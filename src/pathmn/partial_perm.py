@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import NamedTuple, Optional
 
 from pathmn.errors import ParseError, read_int
@@ -140,37 +141,27 @@ def local_dimension(n: int, k: int) -> int:
     """dim of the span of k-local indicators: sum of f_lam^2 over lam_1 >= n-k.
 
     Equivalently the number of w in S_n whose longest increasing subsequence
-    has length at least n-k (checked against brute force in the tests). Only
-    those lam are visited: lam = (n-j, nu) with nu a partition of j <= k and
-    nu_1 <= n-j; or, when fewer shapes have lam_1 <= n-k-1, those, since all
-    the f_lam^2 sum to n!.
+    has length at least n-k (checked against brute force in the tests). Those
+    lam = (n-j, nu), nu a partition of j <= k with nu_1 <= n-j, and the rest,
+    the partitions of n into parts <= n-k-1, are listed in step, holding none;
+    only the side that ends first is listed again and summed (the rest as n!
+    minus its sum, since all the f_lam^2 sum to n!).
     """
     if not (0 <= k <= n - 1):
         raise ParseError(f"need 0 <= k <= n-1, got k={k}, n={n}")
-    below = n - k - 1
-    # the shapes visited have at most 1 + k rows, so while below > k conjugation
-    # sends them into the rest, which is then never fewer
-    if below <= k and _fewer_with_parts_at_most(n, below):
-        return math.factorial(n) - sum(syt_count(lam) ** 2 for lam in partitions_of(n, below))
-    return sum(syt_count((n - j, *nu)) ** 2 for j in range(k + 1) for nu in partitions_of(j, n - j))
 
+    def near():
+        return ((n - j, *nu) for j in range(k + 1) for nu in partitions_of(j, n - j))
 
-def _fewer_with_parts_at_most(n: int, m: int) -> bool:
-    """Whether fewer partitions of n have all parts <= m than have a larger one.
+    def rest():
+        return partitions_of(n, n - k - 1)
 
-    ways[n] counts the partitions of n into the parts added so far and ends at
-    p(n), so the count stops once it passes twice its value at m.
-    """
-    ways = [1] + [0] * n
-    at_most = ways[n]
-    for part in range(1, n + 1):
-        for t in range(part, n + 1):
-            ways[t] += ways[t - part]
-        if part == m:
-            at_most = ways[n]
-        elif part > m and ways[n] > 2 * at_most:
-            return True
-    return False
+    for a, b in zip_longest(near(), rest()):
+        if a is None:
+            break
+        if b is None:
+            return math.factorial(n) - sum(syt_count(lam) ** 2 for lam in rest())
+    return sum(syt_count(lam) ** 2 for lam in near())
 
 
 _SIDE_SPLIT = re.compile(r"\s*->\s*")

@@ -16,15 +16,16 @@ chain and shape when read. The alternant oracle stays on tuples, independent.
 Two loops run on the step, each guarded by counting what it holds: the
 Murnaghan-Nakayama chain _ribbon_chains (power sums, cycle parts; up or down)
 refuses a step that leaves over _MAX_SHAPES shapes, and the tiling walk
-_monotonic_walk (path parts) past _MAX_NODES nodes. PATHMN_MAX_N replaces both.
+enumerate_monotonic past _MAX_NODES nodes. PATHMN_MAX_N replaces both.
 Both are loops (the walk keeps a stack of candidate iterators), so no part
-takes a stack frame. The stable formula walks each core once for every n
-(_frozen_prefixes), so a core's walk is counted once too.
+takes a stack frame. Path power sums walk only the frozen prefixes of their core
+(parts >= 2), once for every n (_frozen_prefixes), so that walk is counted once.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 from pathmn.errors import ParseError, effective_limit, refusal
 from pathmn.partitions import (
@@ -53,7 +54,7 @@ __all__ = [
 
 
 _MAX_SHAPES = 5604  # p(30), all of p_{1^30}: p-expand 1^30 takes 0.4 s, 1^40 (37338) 2.4 s
-_MAX_NODES = 100_000  # about 1.3 s of walking; path-expand 4,4,3,3,2,2,1,1 visits 52,074
+_MAX_NODES = 100_000  # about 1.3 s of walking; path-expand 4,4,3,3,2,2,1,1 --show-tilings visits 52,074
 _MAX_STEPS = 1 << 13  # table 20 steps 5632 distinct inputs; at n = 1200 a step holds ~1.5 kB
 
 _MEMOS = []  # every memo in the package; this module sits below all that hold one
@@ -176,13 +177,14 @@ def skew_mn(outer, alpha, inner=()) -> int:
     return _ribbon_chains({_mask(outer): 1}, sorted(-r for r in alpha), inner).get(_mask(inner), 0)
 
 
-@dataclass(frozen=True)
-class MonotonicTiling:
+class MonotonicTiling(NamedTuple):
     """Ribbon decomposition with column-distinct tails, shallower left to right.
 
     masks holds the prefix partitions () = lam^0 < ... < lam^r as Maya masks, which
     chain and shape decode when read; type/depth are the ribbon sizes and tail
-    rows read left to right, tail_cols the (strictly increasing) tail columns.
+    rows read left to right, tail_cols the (strictly increasing) tail columns,
+    prefix_signs the sign of each prefix, 1 for lam^0: the last is sign, and
+    signs reads each ribbon's sign off consecutive ones.
     (type, depth) determines the tiling uniquely.
     """
 
@@ -190,7 +192,7 @@ class MonotonicTiling:
     type: tuple
     depth: tuple
     tail_cols: tuple
-    signs: tuple = field(compare=False)
+    prefix_signs: tuple
 
     @property
     def chain(self) -> tuple:
@@ -202,7 +204,11 @@ class MonotonicTiling:
 
     @property
     def sign(self) -> int:
-        return math.prod(self.signs)
+        return self.prefix_signs[-1]
+
+    @property
+    def signs(self) -> tuple:
+        return tuple(a * b for a, b in zip(self.prefix_signs, self.prefix_signs[1:]))
 
     def is_frozen(self) -> bool:
         return all(row >= 2 for row in self.depth)
@@ -216,58 +222,47 @@ def enumerate_monotonic(mu, min_tail_row: int = 1, extra_ones: int = 0):
     shallower. Candidates sort by (tail column, size, resulting shape) so the
     output order is deterministic.
 
-    min_tail_row = 2 restricts to frozen tilings; extra_ones adds that many
-    optional size-1 ribbons to the multiset (used for frozen enumeration where
-    trailing singletons may be left unplaced).
+    min_tail_row = 2 restricts to frozen tilings and yields every prefix, each
+    itself frozen; extra_ones adds that many optional size-1 ribbons to the
+    multiset (used for frozen enumeration where trailing singletons may be left
+    unplaced). A loop over a stack of each node's untried candidates, nodes in
+    pre-order. Refused past _MAX_NODES nodes, and before any step when a part
+    alone must pass them.
     """
     mu = check_partition(tuple(sorted(mu, reverse=True)))
-    for steps, _ in _monotonic_walk(mu, min_tail_row, extra_ones):
-        masks, types, depths, cols, prefix = zip(*steps)
-        signs = tuple(a * b for a, b in zip(prefix, prefix[1:]))
-        yield MonotonicTiling(masks, types[1:], depths[1:], cols[1:], signs)
-
-
-def _monotonic_walk(mu, min_tail_row, extra_ones):
-    """enumerate_monotonic on masks: yields the live list of steps (mask, size,
-    tail row, tail column, sign so far), root first, and the live dict of sizes
-    left to place; both change when the walk resumes. A loop over a stack of
-    each node's untried candidates, nodes in pre-order. Refused past _MAX_NODES
-    nodes, and before any step when a part alone must pass them."""
     remaining = multiplicities(mu)
     if extra_ones:
         remaining[1] = remaining.get(1, 0) + extra_ones
-    steps = [(0, 0, math.inf, 0, 1)]
     limit = effective_limit(_MAX_NODES)
     # the root's step of size r alone has r - 1 or more children, so it must pass the limit
     if max(remaining, default=0) > limit:
         raise refusal("monotonic walk nodes", limit + 1, limit)
-
-    def walk():
-        full = len(steps) + sum(remaining.values())  # the steps of a complete tiling
-        pending = []  # per node from the root down, its candidates not yet tried
-        for _ in range(limit):  # one pass per node
-            m, _, last_row, last_col, sign = steps[-1]
-            # complete tilings, and in a frozen search every prefix (itself frozen)
-            if min_tail_row > 1 or len(steps) == full:
-                yield steps, remaining
-            # a lower tail gives a smaller shape: this is (tail column, size, shape) order
-            pending.append(iter(sorted(
-                (col, size, -row, q, s * sign)
-                for size, count in remaining.items() if count
-                for q, s, row, col in _ribbon_step(m, size)
-                if col > last_col and min_tail_row <= row <= last_row
-            )))
-            while (step := next(pending[-1], None)) is None:
-                pending.pop()
-                if not pending:
-                    return
-                remaining[steps.pop()[1]] += 1
-            col, size, row, q, s = step
-            remaining[size] -= 1
-            steps.append((q, size, -row, col, s))
-        raise refusal("monotonic walk nodes", limit + 1, limit)
-
-    return walk()
+    masks, types, depths, cols, prefix = [0], [], [], [], [1]  # the tiling so far, root first
+    m, sign, last_row, last_col = 0, 1, math.inf, 0  # the node's mask, sign and last tail
+    full = sum(remaining.values())  # the ribbons of a complete tiling
+    pending = []  # per node from the root down, its candidates not yet tried
+    for _ in range(limit):  # one pass per node
+        if min_tail_row > 1 or len(types) == full:
+            yield MonotonicTiling(tuple(masks), tuple(types), tuple(depths), tuple(cols), tuple(prefix))
+        # a lower tail gives a smaller shape: this is (tail column, size, shape) order
+        pending.append(iter(sorted(
+            (col, size, -row, q, s * sign)
+            for size, count in remaining.items() if count
+            for q, s, row, col in _ribbon_step(m, size)
+            if col > last_col and min_tail_row <= row <= last_row
+        )))
+        while (step := next(pending[-1], None)) is None:
+            pending.pop()
+            if not pending:
+                return
+            masks.pop(), depths.pop(), cols.pop(), prefix.pop()
+            remaining[types.pop()] += 1
+        last_col, size, last_row, m, sign = step
+        last_row = -last_row
+        remaining[size] -= 1
+        masks.append(m), types.append(size), depths.append(last_row)
+        cols.append(last_col), prefix.append(sign)
+    raise refusal("monotonic walk nodes", limit + 1, limit)
 
 
 def tiling_from_type_depth(alpha, depths):
@@ -282,14 +277,15 @@ def tiling_from_type_depth(alpha, depths):
         raise ParseError("type and depth sequences must have equal length")
     if any(depths[i] < depths[i + 1] for i in range(len(depths) - 1)):
         return None
-    steps = [(0, 1, 0, 0)]  # (mask, sign, tail row, tail column) from the empty shape
+    steps = [(0, 1, 0, 0)]  # (mask, sign so far, tail row, tail column) from the empty shape
     for size, row in zip(alpha, depths):
         match = [add for add in _ribbon_step(steps[-1][0], size) if add[2] == row]
         if not match or match[0][3] <= steps[-1][3]:
             return None
-        steps.append(match[0])
-    masks, signs, _, cols = zip(*steps)
-    return MonotonicTiling(masks, alpha, depths, cols[1:], signs[1:])
+        q, sign, _, col = match[0]
+        steps.append((q, sign * steps[-1][1], row, col))
+    masks, prefix, _, cols = zip(*steps)
+    return MonotonicTiling(masks, alpha, depths, cols[1:], prefix)
 
 
 @memo
@@ -367,15 +363,22 @@ def _frozen_prefixes(mu, ones) -> tuple:
     One (mask, cells, s, placed, w) per class of prefixes: the s unplaced parts
     >= 2 cover cells cells, placed singletons were placed, and w sums
     sign * multinomial(s; counts of the unplaced parts >= 2); zero w dropped.
+    Signs are summed by (last mask, sizes placed) first: one multinomial a group.
     No frozen tiling places more than |mu| - 2 l(mu) singletons (tested), so
     callers cap ones there and one walk serves every larger n.
     """
+    signs = {}  # (last mask, sizes placed) -> sum of the prefixes' signs
+    for t in enumerate_monotonic(mu, 2, ones):
+        key = (t.masks[-1], *sorted(t.type))
+        signs[key] = signs.get(key, 0) + t.sign
     table = {}
-    for steps, left in _monotonic_walk(mu, 2, ones):
-        counts = [c for size, c in left.items() if size > 1]
-        cells = sum(size * c for size, c in left.items() if size > 1)
-        key = (steps[-1][0], cells, sum(counts), ones - left.get(1, 0))
-        table[key] = table.get(key, 0) + steps[-1][4] * multinomial(sum(counts), counts)
+    for (m, *placed), sign in signs.items():
+        placed_ones = placed.count(1)  # sorted, so the singletons come first
+        left = multiplicities(mu)
+        for size in placed[placed_ones:]:
+            left[size] -= 1
+        key = (m, sum(size * c for size, c in left.items()), sum(left.values()), placed_ones)
+        table[key] = table.get(key, 0) + sign * multinomial(key[2], left.values())
     return tuple(key + (w,) for key, w in table.items() if w)
 
 

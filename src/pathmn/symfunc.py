@@ -24,10 +24,9 @@ from pathmn.partitions import (
     check_partition,
     enumerate_set_partitions,
     format_partition,
-    mult_factorial,
 )
 # add_ribbons is unused here but stays bound: perfbench's tracer test looks for it
-from pathmn.ribbons import _mask, _ribbon_chains, _shape, add_ribbons, memo, tiling_tally
+from pathmn.ribbons import _mask, _ribbon_chains, _shape, _stable_terms, add_ribbons, memo
 
 __all__ = [
     "SCHUR",
@@ -282,9 +281,9 @@ def p_in_path_basis(mu) -> dict:
 
 
 def path_power_to_schur(mu) -> SymExpansion:
-    """Schur expansion of the path power sum: m(mu)! times the signed tally of
-    monotonic ribbon tilings with size multiset mu, grouped by shape."""
+    """Schur expansion of the path power sum: the stable formula of its core (the
+    parts >= 2) at degree |mu|, with the singletons as the padding. It equals m(mu)!
+    times the signed tally of monotonic tilings of mu by shape (tested)."""
     mu = check_partition(tuple(sorted(mu, reverse=True)))
-    m = mult_factorial(mu)
-    tally = tiling_tally(mu)
-    return SymExpansion(SCHUR, sum(mu), {shape: m * c for shape, c in tally.items()})
+    terms = _stable_terms(tuple(p for p in mu if p > 1), sum(mu))
+    return SymExpansion(SCHUR, sum(mu), {_shape(m): c for m, c in terms.items()})

@@ -482,8 +482,13 @@ def test_fixed_points_are_counted_in_the_chain(capsys, tmp_path):
 def test_path_walks_are_counted(capsys):
     _, err = run_cli(capsys, ["atomic", "--pp", paths_pp((7, 6, 5, 4, 3, 2)), "--n", "60"], expect_rc=3)
     assert err == NODES_100K
-    _, err = run_cli(capsys, ["path-expand", "2^10,1^10"], expect_rc=3)
-    assert err == NODES_100K
+    # path-expand walks only the frozen prefixes of its core 2^10; the whole walk refuses
+    out, _ = run_cli(capsys, ["path-expand", "2^10,1^10", "--format", "json"])
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "36e20a32066213c521788d629d427985434f7cf44e39ea62683edec31b75a267"
+    )
+    out, err = run_cli(capsys, ["path-expand", "2^10,1^10", "--show-tilings"], expect_rc=3)
+    assert (out, err) == ("", NODES_100K)
     # 29,876 nodes; the digest is of the output before the walk was counted
     out, _ = run_cli(capsys, ["atomic", "--pp", paths_pp((6, 5, 4, 3, 2)), "--n", "60"])
     assert hashlib.sha256(out.encode()).hexdigest() == (
@@ -498,10 +503,12 @@ def test_lowered_max_n_lowers_both_counts(capsys, monkeypatch):
     _, err = run_cli(capsys, ["p-expand", "1^10"], expect_rc=3)
     assert err == "refused: ribbon chain shapes = 42 exceeds the guard limit 41 (set PATHMN_MAX_N to override)\n"
     run_cli(capsys, ["p-expand", "1^9"])
-    # the walk of 3,2,1 visits 39 nodes, that of 2^3,1^3 121
-    _, err = run_cli(capsys, ["path-expand", "2^3,1^3"], expect_rc=3)
+    # the whole walk of 3,2,1 visits 39 nodes, that of 2^3,1^3 121
+    out, err = run_cli(capsys, ["path-expand", "2^3,1^3", "--show-tilings"], expect_rc=3)
+    assert out == ""
     assert err == "refused: monotonic walk nodes = 42 exceeds the guard limit 41 (set PATHMN_MAX_N to override)\n"
-    run_cli(capsys, ["path-expand", "3,2,1"])
+    run_cli(capsys, ["path-expand", "3,2,1", "--show-tilings"])
+    run_cli(capsys, ["path-expand", "2^3,1^3"])  # the frozen walk of its core 2^3 is short
 
 
 @pytest.mark.parametrize("error", [RuntimeError("boom"), RecursionError("too deep")])

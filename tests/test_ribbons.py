@@ -21,6 +21,7 @@ from pathmn import (
     frozen_set,
     mult_factorial,
     multinomial,
+    multiplicities,
     pad_column,
     partitions_of,
     path_chi,
@@ -37,7 +38,6 @@ from pathmn.ribbons import (
     _extend_first_row,
     _frozen_prefixes,
     _mask,
-    _monotonic_walk,
     _ribbon_chains,
     _ribbon_step,
     _shape,
@@ -348,6 +348,20 @@ def test_tilings_hold_int_masks_and_decode_their_chain_on_read():
     assert not hasattr(MonotonicTiling, "size")
 
 
+def test_tilings_carry_the_walks_prefix_signs():
+    for n in range(8):
+        for mu in partitions_of(n):
+            for min_tail_row, extra_ones in ((1, 0), (2, 2)):
+                for t in enumerate_monotonic(mu, min_tail_row, extra_ones):
+                    assert len(t.prefix_signs) == len(t.masks) and t.prefix_signs[0] == 1
+                    assert t.sign == t.prefix_signs[-1] == math.prod(t.signs)
+                    # each ribbon's own sign, as the step that placed it gave it
+                    steps = zip(t.masks, t.masks[1:], t.type, t.depth, t.tail_cols, t.signs)
+                    for prev, cur, size, row, col, sign in steps:
+                        assert (cur, sign, row, col) in _ribbon_step(prev, size)
+                    assert tiling_from_type_depth(t.type, t.depth) == t
+
+
 def test_tiling_tally_matches_a_tally_of_decoded_shapes():
     # same keys in the same order as tallying t.chain[-1]
     clear_caches()
@@ -440,7 +454,9 @@ def test_stable_expansion_matches_tilings():
                 continue
             for n in range(size, size + 5):
                 stable = dict(stable_expansion(mu, n).items())
-                direct = dict(path_power_to_schur(pad_column(mu, n)).items())
+                padded = pad_column(mu, n)
+                tally = tiling_tally(padded)
+                direct = {lam: mult_factorial(padded) * c for lam, c in tally.items()}
                 assert stable == direct
 
 
@@ -459,18 +475,20 @@ def test_frozen_tilings_place_at_most_the_cap_of_singletons():
     assert len(cores) == 77
     for core in cores:
         offered = _cap(core) + 2
-        placed = {offered - left.get(1, 0) for _, left in _monotonic_walk(core, 2, offered)}
+        placed = {t.type.count(1) for t in enumerate_monotonic(core, 2, offered)}
         assert max(placed) <= _cap(core), core
 
 
 def _stable_terms_per_prefix(mu, n):
-    """_stable_terms from the walk at n itself, uncapped: one multinomial per prefix."""
+    """_stable_terms from the walk at n itself, uncapped and ungrouped: one multinomial per prefix."""
     ones = n - sum(mu)
     terms = {}
-    for steps, left in _monotonic_walk(mu, 2, ones):
-        m, sign = steps[-1][0], steps[-1][4]
-        sigma = _extend_first_row(m, sum(size * c for size, c in left.items()))
-        terms[sigma] = terms.get(sigma, 0) + sign * multinomial(sum(left.values()), left.values())
+    for t in enumerate_monotonic(mu, 2, ones):
+        left = multiplicities(mu + (1,) * ones)  # the sizes still to place
+        for size in t.type:
+            left[size] -= 1
+        sigma = _extend_first_row(t.masks[-1], sum(size * c for size, c in left.items()))
+        terms[sigma] = terms.get(sigma, 0) + t.sign * multinomial(sum(left.values()), left.values())
     prefactor = mult_factorial(mu) * math.factorial(ones)
     return {s: prefactor * c for s, c in terms.items() if c}
 
@@ -519,7 +537,7 @@ def test_clear_caches_is_safe():
     exc4 = builtin("exc", 4)
     character_table(5)
     atomic_schur(PartialPermutation(6, (1, 2, 4), (2, 3, 4)))
-    path_power_to_schur((2, 1))
+    tiling_tally((2, 1))
     symmetrize(stat_product(exc4, exc4))
     before = skew_mn((4, 3, 1), (3, 2, 2, 1))
     # the coefficients share a factor of 2048 bits or more, whose Decimal is kept

@@ -14,6 +14,8 @@ from pathmn import (
     ParseError,
     SymExpansion,
     atomic_schur,
+    clear_caches,
+    enumerate_monotonic,
     enumerate_set_partitions,
     mult_by_power,
     mult_factorial,
@@ -23,9 +25,11 @@ from pathmn import (
     path_power_in_p,
     path_power_to_schur,
     power_to_schur,
+    ribbons,
     skew_mn,
     stable_expansion,
     symfunc,
+    tiling_tally,
 )
 from pathmn.errors import int_text as _int_text
 from pathmn.ribbons import _shape, _stable_terms
@@ -188,6 +192,31 @@ def test_path_power_to_schur_two_part_family():
             (n - 1, 1): Fraction(-math.factorial(n - 2)),
         }
         assert dict(e.items()) == expect
+
+
+def test_path_power_to_schur_equals_the_tiling_tally():
+    # the frozen walk of the core against every monotonic tiling of mu, for all 195 mu with |mu| <= 11
+    clear_caches()
+    cases = [mu for n in range(12) for mu in partitions_of(n)]
+    assert len(cases) == 195
+    for mu in cases:
+        tally = {lam: mult_factorial(mu) * c for lam, c in tiling_tally(mu).items()}
+        assert path_power_to_schur(mu) == SymExpansion(SCHUR, sum(mu), tally), mu
+
+
+def test_path_power_to_schur_walks_only_the_frozen_prefixes_of_its_core(monkeypatch):
+    walks = []
+
+    def spy(mu, min_tail_row=1, extra_ones=0):
+        walks.append((mu, min_tail_row, extra_ones))
+        return enumerate_monotonic(mu, min_tail_row, extra_ones)
+
+    monkeypatch.setattr(ribbons, "enumerate_monotonic", spy)
+    clear_caches()
+    path_power_to_schur((4, 4, 3, 3, 2, 2, 1, 1))
+    # both singletons are offered: the cap |core| - 2 l(core) is 6
+    assert walks == [((4, 4, 3, 3, 2, 2), 2, 2)]
+    assert tiling_tally.cache_info().currsize == 0
 
 
 def test_both_schur_routes_agree():
