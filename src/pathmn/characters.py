@@ -11,10 +11,10 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple
 
 from pathmn.errors import ParseError, check_guard
 from pathmn.partial_perm import PartialPermutation, _graph_type, decompose, embed, pack
@@ -91,12 +91,9 @@ def char_eval_direct(lam, pp: PartialPermutation) -> int:
     return mult_factorial(gt.path_type) * total
 
 
-@dataclass(frozen=True)
-class CharacterTable:
-    n: int
-    shapes: tuple  # canonical order; indexes both rows (lam) and columns (mu)
-    columns: tuple  # column mu: read-only {mask of lam: chi^lam_mu}, zeros left out
-
+# shapes: canonical order, indexing both rows (lam) and columns (mu); columns: column mu is a
+# read-only {mask of lam: chi^lam_mu}, zeros left out. No __slots__: the cached properties need a __dict__.
+class CharacterTable(NamedTuple("CharacterTable", [("n", int), ("shapes", tuple), ("columns", tuple)])):
     @cached_property
     def entries(self) -> dict:
         """(lam, mu) -> chi^lam_mu, built on first read."""
@@ -159,8 +156,7 @@ def support_check(expansion: SymExpansion, n: int, k: int) -> bool:
     return all((lam[0] if lam else 0) >= n - k for lam in expansion.terms)
 
 
-@dataclass(frozen=True)
-class PolynomialityReport:
+class PolynomialityReport(NamedTuple):
     pp: PartialPermutation
     lam: tuple
     k: int

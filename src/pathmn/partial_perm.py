@@ -10,7 +10,6 @@ size 1.
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from typing import NamedTuple, Optional
@@ -32,26 +31,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PartialPermutation:
-    n: int
-    I: tuple
-    J: tuple
+class PartialPermutation(NamedTuple("PartialPermutation", [("n", int), ("I", tuple), ("J", tuple)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        I, J = tuple(self.I), tuple(self.J)
-        object.__setattr__(self, "I", I)
-        object.__setattr__(self, "J", J)
-        if self.n < 0:
-            raise ParseError(f"ambient size must be nonnegative, got {self.n}")
+    def __new__(cls, n, I, J):
+        I, J = tuple(I), tuple(J)
+        if n < 0:
+            raise ParseError(f"ambient size must be nonnegative, got {n}")
         if len(I) != len(J):
             raise ParseError(f"|I| = {len(I)} but |J| = {len(J)}")
         for side, name in ((I, "I"), (J, "J")):
             if len(set(side)) != len(side):
                 raise ParseError(f"{name} has repeated entries: {side}")
             for v in side:
-                if not (1 <= v <= self.n):
-                    raise ParseError(f"{name} entry {v} outside [1..{self.n}]")
+                if not (1 <= v <= n):
+                    raise ParseError(f"{name} entry {v} outside [1..{n}]")
+        return super().__new__(cls, n, I, J)
+
+    @classmethod
+    def _make(cls, fields):
+        """The namedtuple's _make, which _replace calls, through the checks above."""
+        return cls(*fields)
 
     @property
     def k(self) -> int:
@@ -71,8 +71,7 @@ class GraphType(NamedTuple):
     cycle_type: tuple
 
 
-@dataclass(frozen=True)
-class IndicatorTerm:
+class IndicatorTerm(NamedTuple):
     coeff: Fraction
     pp: PartialPermutation
 

@@ -23,7 +23,6 @@ takes a stack frame. Path power sums walk only the frozen prefixes of their core
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
 
@@ -76,8 +75,7 @@ def clear_caches():
         m.cache_clear()
 
 
-@dataclass(frozen=True)
-class RibbonAddition:
+class RibbonAddition(NamedTuple):
     base: tuple
     result: tuple
     size: int

@@ -16,9 +16,9 @@ ClassFunction holds integers on Maya masks.
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from pathmn.characters import _atomic_from_type
 from pathmn.errors import (ParseError, check_guard, effective_limit, int_text, json_fields,
@@ -49,8 +49,7 @@ _MAX_VISITS = 2_000_000  # about 0.4 s if few pairs merge, 3 s if most do; maj^3
 _MAX_TERMS = 250_000  # a built-in's or a product's terms; maj at n = 80 has 249,640 (0.7 s, 90 MB to build)
 
 
-@dataclass(frozen=True)
-class Statistic:
+class Statistic(NamedTuple):
     """Finite combination sum (num/den)·1_{I,J} of indicators on S_n.
 
     nums holds one (pairs, num) per term: the (i, j) constraints sorted by i
@@ -73,8 +72,7 @@ class Statistic:
         return sorted((len(p), [i for i, _ in p], [j for _, j in p], c) for p, c in self.nums)
 
 
-@dataclass(frozen=True)
-class ClassFunction:
+class ClassFunction(NamedTuple):
     """A class function on S_n through ch_n: R f = sum (num/den)·chi^lam.
 
     nums holds one nonzero int per lam, keyed by its Maya mask, the form

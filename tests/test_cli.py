@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -577,20 +578,39 @@ def test_closed_stdout_exits_without_traceback():
     assert "Traceback" not in err
 
 
-def test_package_imports_only_the_standard_library():
-    src = pathlib.Path(pathmn.cli.__file__).parent
-    foreign = []
-    for path in sorted(src.glob("*.py")):
+def _package_imports():
+    """(file name, module name) for every absolute import in the package."""
+    for path in sorted(pathlib.Path(pathmn.cli.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
+                yield from ((path.name, a.name) for a in node.names)
             elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
-            foreign += [f"{path.name}: {name}" for name in names
-                        if name.split(".")[0] not in {"pathmn", *sys.stdlib_module_names}]
+                yield path.name, node.module
+
+
+def test_package_imports_only_the_standard_library():
+    foreign = [f"{file}: {name}" for file, name in _package_imports()
+               if name.split(".")[0] not in {"pathmn", *sys.stdlib_module_names}]
     assert foreign == []
+
+
+# every module the package imports, sys aside; a new one must be added here on purpose
+PACKAGE_DEPENDENCIES = ("argparse", "contextlib", "csv", "decimal", "fractions", "functools", "io",
+                        "itertools", "json", "math", "os", "re", "types", "typing")
+
+
+def test_cli_import_loads_no_module_beyond_those_the_package_names():
+    named = {name.split(".")[0] for _, name in _package_imports()} - {"pathmn", "sys"}
+    assert sorted(named) == list(PACKAGE_DEPENDENCIES)
+    # what those modules load on this Python is the baseline, so no version's list is pinned
+    code = (f"import sys, {', '.join(PACKAGE_DEPENDENCIES)}; before = set(sys.modules); "
+            "import pathmn.cli; print(*sorted(set(sys.modules) - before))")
+    src = pathlib.Path(pathmn.cli.__file__).parent.parent
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, encoding="utf-8",
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    loaded = proc.stdout.split()
+    assert "pathmn.cli" in loaded
+    assert [m for m in loaded if m.split(".")[0] != "pathmn"] == []
 
 
 def test_cli_reads_no_private_names_of_the_package():

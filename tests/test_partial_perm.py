@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -43,6 +45,28 @@ def test_validation():
     with pytest.raises(ParseError):
         PartialPermutation(-1, (), ())
 
+
+def test_every_tuple_route_validates(monkeypatch):
+    # _make and _replace build through __new__; lists become tuples
+    with pytest.raises(ParseError):
+        PartialPermutation._make((1, (5,), (1,)))
+    with pytest.raises(ParseError):
+        PartialPermutation(3, (1,), (2,))._replace(n=0)
+    pp = PartialPermutation(4, [1, 3], [3, 2])
+    assert type(pp.I) is tuple and type(pp.J) is tuple
+    assert pp == (4, (1, 3), (3, 2))
+    assert pp._replace(J=[2, 3]) == PartialPermutation(4, (1, 3), (2, 3))
+    # a copy and a pickle round trip are rebuilt through __new__ too
+    validate, checked = PartialPermutation.__new__, []
+
+    def counting(cls, *args):
+        checked.append(args)
+        return validate(cls, *args)
+
+    monkeypatch.setattr(PartialPermutation, "__new__", counting)
+    for clone in (copy.copy(pp), pickle.loads(pickle.dumps(pp))):
+        assert clone == pp and type(clone) is PartialPermutation
+    assert checked == [(4, (1, 3), (3, 2))] * 2
 
 def test_k_pairs_canonical():
     pp = PartialPermutation(7, (1, 4, 5, 6, 7), (2, 5, 6, 4, 7))

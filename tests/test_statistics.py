@@ -370,23 +370,23 @@ def test_stat_product_builds_one_term_per_result(monkeypatch):
     # reading .terms builds one of each per term
     maj6 = builtin("maj", 6)
     built, terms_built, fractions = [], [], []
-    validate = PartialPermutation.__post_init__
-    term_init = IndicatorTerm.__init__
+    validate = PartialPermutation.__new__
+    term_new = IndicatorTerm.__new__
 
-    def counting(self):
-        built.append(self)
-        validate(self)
+    def counting(cls, *args):
+        built.append(args)
+        return validate(cls, *args)
 
-    def counting_terms(self, *args):
-        terms_built.append(self)
-        term_init(self, *args)
+    def counting_terms(cls, *args):
+        terms_built.append(args)
+        return term_new(cls, *args)
 
     def counting_fraction(*args):
         fractions.append(args)
         return Fraction(*args)
 
-    monkeypatch.setattr(PartialPermutation, "__post_init__", counting)
-    monkeypatch.setattr(IndicatorTerm, "__init__", counting_terms)
+    monkeypatch.setattr(PartialPermutation, "__new__", counting)
+    monkeypatch.setattr(IndicatorTerm, "__new__", counting_terms)
     monkeypatch.setattr(pathmn.statistics, "Fraction", counting_fraction)
     clear_caches()
     result = stat_product(maj6, maj6)
