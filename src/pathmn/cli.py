@@ -112,13 +112,17 @@ def main(argv=None) -> int:
         return 1
 
 
-def _print_expansion(exp: SymExpansion, args):
+def _print(result, args):
+    """Print an expansion or a character table in --format; --long, on the
+    subcommands that have it, gives one term per line."""
     if args.format == "json":
-        print(exp.to_json())
+        print(result.to_json())
     elif args.format == "csv":
-        sys.stdout.write(exp.to_csv())
+        sys.stdout.write(result.to_csv())
+    elif getattr(args, "long", False):
+        print(result.render(long=True))
     else:
-        print(exp.render(long=args.long))
+        print(result.render())
 
 
 def _cmd_path_expand(args):
@@ -130,7 +134,7 @@ def _cmd_path_expand(args):
         # walked once dry, holding none, so that a refused walk prints nothing
         for _ in ribbons.enumerate_monotonic(mu):
             pass
-    _print_expansion(exp, args)
+    _print(exp, args)
     if args.show_tilings:
         for idx, t in enumerate(ribbons.enumerate_monotonic(mu), start=1):
             sign = "+" if t.sign > 0 else "-"
@@ -144,12 +148,12 @@ def _cmd_p_expand(args):
         exp = SymExpansion(PATH, sum(mu), symfunc.p_in_path_basis(mu))
     else:
         exp = symfunc.power_to_schur(SymExpansion(POWER, sum(mu), {mu: Fraction(1)}))
-    _print_expansion(exp, args)
+    _print(exp, args)
 
 
 def _cmd_atomic(args):
     pp = parse_pp(args.pp, read_int(args.n, "--n"))
-    _print_expansion(characters.atomic_schur(pp), args)
+    _print(characters.atomic_schur(pp), args)
 
 
 def _cmd_char(args):
@@ -166,13 +170,7 @@ def _cmd_char(args):
 
 
 def _cmd_table(args):
-    table = characters.character_table(read_int(args.n, "n"))
-    if args.format == "json":
-        print(table.to_json())
-    elif args.format == "csv":
-        sys.stdout.write(table.to_csv())
-    else:
-        print(table.render())
+    _print(characters.character_table(read_int(args.n, "n")), args)
 
 
 def _cmd_stat(args):
@@ -196,7 +194,7 @@ def _cmd_stat(args):
     for _ in range(moment - 1):
         power = statistics.stat_product(power, f)
     cf = statistics.symmetrize(power)
-    _print_expansion(cf.schur, args)
+    _print(cf.schur, args)
 
 
 def _cmd_oracle_check(args):

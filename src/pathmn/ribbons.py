@@ -24,6 +24,7 @@ takes a stack frame. Path power sums walk only the frozen prefixes of their core
 
 import math
 from functools import lru_cache, partial
+from types import MappingProxyType
 from typing import NamedTuple
 
 from pathmn.errors import ParseError, effective_limit, refusal
@@ -287,12 +288,13 @@ def tiling_from_type_depth(alpha, depths):
 
 
 @memo
-def tiling_tally(mu) -> dict:
-    """shape -> sum of sign(T) over monotonic tilings with size multiset mu, by last mask."""
+def tiling_tally(mu) -> MappingProxyType:
+    """shape -> sum of sign(T) over monotonic tilings with size multiset mu, by
+    last mask; read-only, since every caller shares the memo's mapping."""
     tally = {}
     for t in enumerate_monotonic(mu):
         tally[t.masks[-1]] = tally.get(t.masks[-1], 0) + t.sign
-    return {_shape(m): v for m, v in tally.items() if v}
+    return MappingProxyType({_shape(m): v for m, v in tally.items() if v})
 
 
 def path_chi(lam, mu) -> int:

@@ -12,12 +12,16 @@ terms merge iff they share as many pairs as sources and as targets. A square
 visits each unordered pair of terms once. A product is refused before its loop
 past _MAX_VISITS pair visits, and in it past _MAX_TERMS held terms. A
 ClassFunction holds integers on Maya masks.
+
+The product and class-function memos keep the 4 results used last, which
+hold what variance_on_class reuses: f, f·f and their class functions.
 """
 
 import json
 import math
 from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 from typing import NamedTuple
 
 from pathmn.characters import _atomic_from_type
@@ -77,7 +81,7 @@ class ClassFunction(NamedTuple):
 
     nums holds one nonzero int per lam, keyed by its Maya mask, the form
     class_eval removes ribbons from; gcd(den, *nums) is 1, so equal class
-    functions are ==.
+    functions are ==. symmetrize's nums is read-only: its memo shares it.
     """
 
     n: int
@@ -128,7 +132,7 @@ def builtin(name: str, n: int) -> Statistic:
     return _statistic(n, 1, acc)
 
 
-@memo
+@memo(maxsize=4)
 def stat_product(f: Statistic, g: Statistic) -> Statistic:
     """Pointwise product, expanded by pairwise indicator merging.
 
@@ -195,7 +199,7 @@ def _pairs(m: int, pair_at: dict) -> tuple:
     return tuple(out)
 
 
-@memo
+@memo(maxsize=4)
 def symmetrize(f: Statistic) -> ClassFunction:
     """ch_n(R f): group terms by graph type, expand each class atomically.
 
@@ -214,7 +218,7 @@ def symmetrize(f: Statistic) -> ClassFunction:
                 acc[m] = acc.get(m, 0) + c * v
     scale = f.den * math.factorial(f.n)
     g = math.gcd(scale, *acc.values())
-    return ClassFunction(f.n, scale // g, {m: v // g for m, v in acc.items() if v})
+    return ClassFunction(f.n, scale // g, MappingProxyType({m: v // g for m, v in acc.items() if v}))
 
 
 def class_eval(cf: ClassFunction, mu) -> Fraction:

@@ -388,6 +388,20 @@ def test_tiling_tally_decodes_each_nonzero_shape_once(monkeypatch):
     assert sum(1 for _ in enumerate_monotonic((4, 4, 3, 2, 1))) > 10 * len(tally)
 
 
+def test_tiling_tally_is_read_only():
+    # every caller gets the memo's own mapping: a write must not reach later answers
+    clear_caches()
+    tally = tiling_tally((2, 1))
+    with pytest.raises(TypeError):
+        tally[(2, 1)] = 0
+    with pytest.raises(TypeError):
+        del tally[(3,)]
+    assert not any(hasattr(tally, name) for name in ("clear", "pop", "popitem", "update", "setdefault"))
+    assert tiling_tally((2, 1)) is tally
+    assert tally == {(3,): 2, (2, 1): -1}
+    assert path_chi((2, 1), (2, 1)) == -1
+
+
 def test_path_chi():
     assert path_chi((6,), (3, 2, 1)) == 6
     assert path_chi((3, 2, 1), (3, 2, 1)) == -1

@@ -586,6 +586,50 @@ def test_variance_on_class_matches_brute():
                 assert variance_on_class(f, mu) == seconds[mu] - means[mu] ** 2
 
 
+def test_variance_on_every_class_reuses_the_bounded_memos():
+    # f, f·f and their two class functions fit the four results each memo keeps
+    clear_caches()
+    f = builtin("maj", 8)
+    classes = list(partitions_of(8))
+    assert len(classes) == 22
+    variances = [variance_on_class(f, mu) for mu in classes]
+    assert stat_product.cache_info().hits == 21
+    assert symmetrize.cache_info().hits == 42
+    sq = symmetrize(stat_product(f, f))
+    mean = symmetrize(f)
+    assert variances == [class_eval(sq, mu) - class_eval(mean, mu) ** 2 for mu in classes]
+
+
+def test_a_moment_chain_keeps_at_most_four_results_per_memo():
+    # the chain pathmn stat --moment runs; each power is new, so none is reused
+    clear_caches()
+    f = make_statistic(3, [IndicatorTerm(2, PartialPermutation(3, (), ()))])
+    power = f
+    for _ in range(199):
+        power = stat_product(power, f)
+        cf = symmetrize(power)
+    assert stat_product.cache_info().currsize <= 4
+    assert symmetrize.cache_info().currsize <= 4
+    assert power.nums == (((), 2**200),)
+    assert [class_eval(cf, mu) for mu in partitions_of(3)] == [2**200] * 3
+
+
+def test_symmetrized_numerators_are_read_only():
+    # symmetrize hands out the memo's own class function: a write must not reach later answers
+    clear_caches()
+    f = builtin("exc", 4)
+    cf = symmetrize(f)
+    values = [class_eval(cf, mu) for mu in partitions_of(4)]
+    mask = next(iter(cf.nums))
+    with pytest.raises(TypeError):
+        cf.nums[mask] = 0
+    with pytest.raises(TypeError):
+        del cf.nums[mask]
+    assert not hasattr(cf.nums, "clear")
+    assert symmetrize(f) is cf
+    assert [class_eval(symmetrize(f), mu) for mu in partitions_of(4)] == values
+
+
 def test_maj_squared_class_averages():
     for n in range(1, 6):
         f = builtin("maj", n)
