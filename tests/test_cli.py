@@ -385,13 +385,31 @@ def test_statistic_product_guard_counts_held_terms(capsys, monkeypatch):
 
 
 def test_builtin_statistic_guard_counts_terms(capsys):
-    # the terms are counted in closed form, so these are refused unbuilt
-    for name, n, count in [("maj", 1000, 499000500), ("exc", 100000, 4999950000)]:
-        _, err = run_cli(capsys, ["stat", name, "--n", str(n)], expect_rc=3)
-        assert err == (
-            f"refused: statistic terms = {count} exceeds the guard limit 250000"
-            " (set PATHMN_MAX_N to override)\n"
-        )
+    # maj's terms are counted in closed form, so it is refused unbuilt
+    _, err = run_cli(capsys, ["stat", "maj", "--n", "1000"], expect_rc=3)
+    assert err == (
+        "refused: statistic terms = 499000500 exceeds the guard limit 250000"
+        " (set PATHMN_MAX_N to override)\n"
+    )
+    # exc is one pattern, symmetrized by its census with no term built
+    # (refused at 4,999,950,000 terms while it was built term by term)
+    out, _ = run_cli(capsys, ["stat", "exc", "--n", "100000"])
+    assert out == "(99999/2)·s[100000] − (1/2)·s[99999,1]\n"
+
+
+def test_pattern_product_guard_counts_interleavings(capsys, monkeypatch):
+    # exc^2 has patterns on 2, 3 and 4 points (one, one and three): times exc
+    # they interleave D(2,2) + D(3,2) + 3·D(4,2) = 13 + 25 + 123 ways at n >= 6
+    monkeypatch.setenv("PATHMN_MAX_N", "160")
+    out, err = run_cli(capsys, ["stat", "exc", "--n", "6", "--moment", "3"], expect_rc=3)
+    assert out == ""
+    assert err == ("refused: statistic product interleavings = 161 exceeds the guard limit 160"
+                   " (set PATHMN_MAX_N to override)\n")
+    monkeypatch.delenv("PATHMN_MAX_N")
+    # exc^6 holds 42,227 patterns at n >= 12; the seventh power is refused before its loop
+    _, err = run_cli(capsys, ["stat", "exc", "--n", "30", "--moment", "7"], expect_rc=3)
+    assert err == ("refused: statistic product interleavings = 10843467 exceeds the guard limit 2000000"
+                   " (set PATHMN_MAX_N to override)\n")
 
 
 def test_power_sums_take_any_number_of_parts(capsys):
@@ -531,6 +549,7 @@ def test_oracle_check(capsys):
         "atomic: OK (24 comparisons)",
         "words: OK (7 comparisons)",
         "alternant: OK (18 comparisons)",
+        "census: OK (9 comparisons)",
     ]
 
 

@@ -4,14 +4,18 @@ from fractions import Fraction
 
 import pytest
 
+import pathmn.statistics
 from pathmn import (
     GuardError,
+    ORACLE_CHECKS,
+    OracleMismatch,
     ParseError,
     PartialPermutation,
     alternant_char,
     array_weight,
     atomic_schur,
     brute_atomic,
+    clear_caches,
     partitions_of,
     path_power_to_schur,
     power_to_schur,
@@ -146,3 +150,19 @@ def test_word_array_guards():
         word_array_path_expansion((6,), 6)
     with pytest.raises(GuardError):
         word_array_path_expansion((2,), 9)
+
+
+def test_census_sweep_checks_every_n_and_catches_a_lost_interleaving(monkeypatch):
+    clear_caches()
+    assert ORACLE_CHECKS["census"](0) == 0
+    assert ORACLE_CHECKS["census"](4) == 12  # exc, exc^2 and exc^3 at n = 1..4
+    assert ORACLE_CHECKS["census"](100) == 36  # the sweep stops at n = 12
+    # a product that never lets two points coincide loses exc^2's 1 -> 2 at n = 2
+    every = pathmn.statistics._interleavings
+    monkeypatch.setattr(pathmn.statistics, "_interleavings",
+                        lambda a, b, n: (x for x in every(a, b, n) if x[0] == a + b))
+    clear_caches()
+    with pytest.raises(OracleMismatch, match=r"exc\^2 at n=2"):
+        ORACLE_CHECKS["census"](4)
+    monkeypatch.undo()
+    clear_caches()

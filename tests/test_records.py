@@ -24,6 +24,7 @@ RECORDS = {
     "PartialPermutation": lambda: parse_pp("1,2 -> 2,3", 4),
     "IndicatorTerm": lambda: IndicatorTerm(Fraction(1, 2), PartialPermutation(3, [1], [2])),
     "Statistic": lambda: builtin("maj", 4),
+    "PatternStatistic": lambda: builtin("exc", 4),
     "ClassFunction": lambda: symmetrize(builtin("exc", 4)),
     "PolynomialityReport": lambda: coefficient_polynomiality(
         PartialPermutation(2, (1,), (2,)), (1,), range(4, 7)),

@@ -14,6 +14,8 @@ from pathmn import (
     IndicatorTerm,
     ParseError,
     PartialPermutation,
+    PatternStatistic,
+    Statistic,
     SymExpansion,
     builtin,
     character_table,
@@ -173,13 +175,16 @@ def test_stat_product_pointwise():
 
 
 def test_stat_product_identity_and_errors():
-    e5 = builtin("exc", 5)
+    # exc term by term: a product with a Statistic takes the explicit route
+    e5 = builtin("exc", 5).explicit()
     ident = make_statistic(5, [IndicatorTerm(Fraction(1), PartialPermutation(5, (), ()))])
-    assert stat_product(ident, e5) == e5
+    assert stat_product(ident, e5) == stat_product(ident, builtin("exc", 5)) == e5
     with pytest.raises(ParseError):
         stat_product(builtin("exc", 4), builtin("exc", 5))
+    with pytest.raises(ParseError):
+        stat_product(builtin("exc", 4).explicit(), builtin("exc", 5).explicit())
     # a product is refused on its pair visits and held terms only, at any n
-    e13 = builtin("exc", 13)
+    e13 = builtin("exc", 13).explicit()
     assert stat_product(e13, e13) == pairwise_product(13, e13.terms, e13.terms)
 
 
@@ -281,7 +286,7 @@ def test_stat_product_square_matches_pairwise_merges():
 
 def test_stat_product_guard_counts_pair_visits(monkeypatch):
     # a square visits |f|(|f| + 1)/2 pairs of terms, any other product |f|·|g|
-    exc, maj = builtin("exc", 6), builtin("maj", 6)
+    exc, maj = builtin("exc", 6).explicit(), builtin("maj", 6)
     assert (len(exc.nums), len(maj.nums)) == (15, 75)
     for g, visits in [(exc, 120), (maj, 1125)]:
         monkeypatch.setenv("PATHMN_MAX_N", str(visits - 1))
@@ -297,7 +302,7 @@ def test_stat_product_guard_counts_held_terms(monkeypatch):
     # more terms than it visits pairs, so under PATHMN_MAX_N the visit guard
     # fires first and only a lowered _MAX_TERMS reaches this one
     monkeypatch.delenv("PATHMN_MAX_N", raising=False)
-    exc, maj = builtin("exc", 6), builtin("maj", 6)
+    exc, maj = builtin("exc", 6).explicit(), builtin("maj", 6)
     default = pathmn.statistics._MAX_TERMS
     for f, g, held in [(exc, exc, 80), (exc, maj, 554), (maj, maj, 695)]:
         clear_caches()
@@ -321,17 +326,116 @@ def test_stat_product_guard_counts_held_terms(monkeypatch):
 
 
 def test_builtin_guard_counts_terms(monkeypatch):
-    # exc has C(n, 2) terms and maj (n - 1)·C(n, 2), counted before any is built
+    # exc has C(n, 2) terms and maj (n - 1)·C(n, 2), counted before any is built:
+    # maj's by builtin, exc's by explicit(), since builtin exc is one pattern
+    def build(name, n):
+        return builtin(name, n).explicit()
+
     for name, n, count in [("exc", 6, 15), ("maj", 6, 75)]:
         monkeypatch.setenv("PATHMN_MAX_N", str(count - 1))
         with pytest.raises(GuardError, match=f"statistic terms = {count} exceeds"):
-            builtin(name, n)
+            build(name, n)
         monkeypatch.setenv("PATHMN_MAX_N", str(count))
-        assert len(builtin(name, n).nums) == count
+        assert len(build(name, n).nums) == count
     monkeypatch.delenv("PATHMN_MAX_N")
     for name, n, count in [("exc", 708, 250278), ("maj", 81, 259200)]:
         with pytest.raises(GuardError, match=f"statistic terms = {count} exceeds the guard limit 250000"):
-            builtin(name, n)
+            build(name, n)
+    # the pattern itself is never refused for its n
+    assert builtin("exc", 708).patterns == builtin("exc", 10**6).patterns == ((2, ((1, 2),), 1),)
+
+
+def test_pattern_product_guard_counts_interleavings(monkeypatch):
+    # patterns on r and s points interleave in Delannoy D(r, s) ways, of which
+    # those covering at most n points are counted before the loop and refused
+    # past _MAX_VISITS
+    exc = builtin("exc", 6)
+    square = stat_product(exc, exc)
+    assert [r for r, _, _ in square.patterns] == [2, 3, 4, 4, 4]
+    products = []
+    for f, visits in [(exc, 13), (square, 13 + 25 + 3 * 41)]:
+        monkeypatch.setenv("PATHMN_MAX_N", str(visits - 1))
+        clear_caches()
+        with pytest.raises(GuardError, match=f"statistic product interleavings = {visits} exceeds"):
+            stat_product(f, exc)
+        monkeypatch.setenv("PATHMN_MAX_N", str(visits))
+        clear_caches()
+        products.append((f, stat_product(f, exc)))
+    monkeypatch.delenv("PATHMN_MAX_N")
+    for f, product in products:
+        assert product.explicit() == stat_product(f.explicit(), exc.explicit())
+    # the patterns held are counted after each pattern of the second factor
+    monkeypatch.setattr(pathmn.statistics, "_MAX_TERMS", 4)
+    clear_caches()
+    with pytest.raises(GuardError, match="statistic product patterns = 5 exceeds the guard limit 4 "):
+        stat_product(exc, exc)
+    monkeypatch.setattr(pathmn.statistics, "_MAX_TERMS", 5)
+    clear_caches()
+    assert stat_product(exc, exc) == square
+    count, walk = pathmn.statistics._interleaving_count, pathmn.statistics._interleavings
+    assert [count(a, b, 10) for a, b in [(0, 5), (2, 2), (3, 2), (4, 2), (3, 3)]] == [1, 13, 25, 41, 63]
+    # at n = 3 two pairs interleave on 2 or 3 points only: 1 + 6 of the 13
+    assert count(2, 2, 3) == 7 and count(4, 2, 3) == 0
+    for a in range(6):
+        for b in range(6):
+            for n in range(1, 11):
+                maps = [(t, beta) for t, _, betas in walk(a, b, n) for beta in betas]
+                assert len(maps) == count(a, b, n) and all(t <= n for t, _ in maps)
+
+
+def test_exc_powers_are_pattern_statistics():
+    # exc^2 on 2, 3 and 4 points: 1 -> 2 once, the chain 1 -> 2 -> 3 and the
+    # three ways two disjoint pairs interleave twice each
+    f = builtin("exc", 9)
+    assert f == PatternStatistic(((2, ((1, 2),), 1),), 1, 9)
+    square = stat_product(f, f)
+    assert type(square) is PatternStatistic and square.n == 9 and square.den == 1
+    assert square.patterns == (
+        (2, ((1, 2),), 1),
+        (3, ((1, 2), (2, 3)), 2),
+        (4, ((1, 2), (3, 4)), 2),
+        (4, ((1, 3), (2, 4)), 2),
+        (4, ((1, 4), (2, 3)), 2),
+    )
+    # one explicit term per placement of each pattern: C(9,2) + C(9,3) + 3·C(9,4)
+    assert len(square.explicit().nums) == 36 + 84 + 3 * 126
+    # a product with any Statistic goes term by term
+    assert type(stat_product(f, builtin("maj", 9))) is Statistic
+    assert stat_product(f, builtin("maj", 9)) == stat_product(f.explicit(), builtin("maj", 9))
+
+
+def test_pattern_and_explicit_records_never_share_a_memo_entry():
+    # lru_cache compares keys with ==, and a NamedTuple's == ignores its class:
+    # the one-term Statistic 1_{1 -> 2} at n = 3 is not exc at n = 3, and the
+    # zero statistics of the two kinds must not stand in for each other
+    one_term = Statistic(3, 1, ((((1, 2),), 1),))
+    exc = builtin("exc", 3)
+    assert one_term != exc and PatternStatistic((), 1, 3) != Statistic(3, 1, ())
+    for first, second in [(one_term, exc), (exc, one_term)]:
+        clear_caches()
+        a, b = symmetrize(first), symmetrize(second)
+        assert a != b
+        assert symmetrize(exc) == symmetrize(exc.explicit()) != symmetrize(one_term)
+        assert class_eval(symmetrize(one_term), (1, 1, 1)) == 0
+        assert class_eval(symmetrize(exc), (2, 1)) == 1
+        clear_caches()
+        zero = stat_product(PatternStatistic((), 1, 3), exc)
+        assert type(zero) is PatternStatistic and zero.patterns == ()
+        assert type(stat_product(Statistic(3, 1, ()), one_term)) is Statistic
+
+
+@pytest.mark.parametrize("n", [40, 300, 1000])
+def test_exc_is_constant_on_fixed_point_free_involutions(n):
+    # on the class 2^{n/2} every 2-cycle has exactly one exceedance, so exc is
+    # n/2 there: its moments are (n/2)^m and its variance is 0, at any n
+    f = builtin("exc", n)
+    involutions = (2,) * (n // 2)
+    power = f
+    for m in range(1, 4):
+        if m > 1:
+            power = stat_product(power, f)
+        assert class_eval(symmetrize(power), involutions) == Fraction(n, 2) ** m
+    assert variance_on_class(f, involutions) == 0
 
 
 def test_stat_product_edge_cases():
