@@ -9,8 +9,9 @@ Three independent computations live here:
 * word_array_path_expansion — the standard-and-stable word array sum, an
   independent route to the Schur expansion of a path power sum.
 
-The "census" sweep checks the pattern route of exc^m, products and
-symmetrization, against the same statistics built and merged term by term.
+The "census" sweep checks the pattern route of exc^m, maj^m and des^m,
+products and symmetrization, against the same statistics built and merged
+term by term.
 
 ORACLE_CHECKS holds the sweeps of `pathmn oracle-check`: each oracle against
 its fast rule on every small input.
@@ -23,7 +24,7 @@ from pathmn.errors import OracleMismatch, ParseError, check_guard
 from pathmn.partial_perm import PartialPermutation, embed
 from pathmn.partitions import check_composition, check_partition, partitions_of
 from pathmn.ribbons import skew_mn
-from pathmn.statistics import builtin, stat_product, symmetrize
+from pathmn.statistics import PatternStatistic, _table_product, builtin, stat_product, symmetrize
 from pathmn.symfunc import POWER, SCHUR, SymExpansion, path_power_to_schur, power_to_schur
 
 __all__ = [
@@ -258,18 +259,23 @@ def _check_alternant_scope(max_n: int) -> int:
 
 def _check_census_scope(max_n: int) -> int:
     """exc^m for m <= 3 at every n <= max_n, up to 12 (the explicit cubes to
-    n = 12 take about half a second together): the pattern product's terms
-    and the census's class function against the explicit route's."""
+    n = 12 take about half a second together), and maj^m and des^m for m <= 2
+    up to n = 8: the pattern product's terms and the census's class function
+    against the explicit route's."""
     count = 0
-    for n in range(1, min(max_n, 12) + 1):
-        f = builtin("exc", n)
-        power, reference = f, f.explicit()
-        for m in range(1, 4):
-            if m > 1:
-                power, reference = stat_product(power, f), stat_product(reference, f.explicit())
-            if power.explicit() != reference or symmetrize(power) != symmetrize(reference):
-                raise OracleMismatch(f"census route disagrees with the explicit one for exc^{m} at n={n}")
-            count += 1
+    for name, top, moments in [("exc", 12, 3), ("maj", 8, 2), ("des", 8, 2)]:
+        for n in range(1, min(max_n, top) + 1):
+            f = builtin(name, n)
+            power, reference = f, f.explicit()
+            for m in range(1, moments + 1):
+                if m > 1:
+                    # the pattern route at every n, also where stat_product takes the terms
+                    patterns, den = _table_product(power.patterns, power.den, f.patterns, f.den, n)
+                    power = PatternStatistic(patterns, den, n)
+                    reference = stat_product(reference, f.explicit())
+                if power.explicit() != reference or symmetrize(power) != symmetrize(reference):
+                    raise OracleMismatch(f"census route disagrees with the explicit one for {name}^{m} at n={n}")
+                count += 1
     return count
 
 

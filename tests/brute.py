@@ -92,6 +92,10 @@ def maj_of(w):
     return sum(i for i in range(1, len(w)) if w[i - 1] > w[i])
 
 
+def des_of(w):
+    return sum(1 for i in range(1, len(w)) if w[i - 1] > w[i])
+
+
 def class_averages(n, value):
     """Average of value(w) over each conjugacy class, keyed by cycle type."""
     sums = {}

@@ -361,22 +361,27 @@ def test_guard_exit_code(capsys, monkeypatch):
     assert "exceeds the guard limit 3" in err
 
 
-def test_statistic_product_guard_counts_pair_visits(capsys):
-    # the cube of maj at n = 12 would visit 136,576 x 726 pairs of terms
-    _, err = run_cli(capsys, ["stat", "maj", "--n", "12", "--moment", "3"], expect_rc=3)
+def test_statistic_product_guard_counts_pair_visits(capsys, tmp_path):
+    # maj written out at n = 12 keeps the term-by-term route: its cube would
+    # visit 136,576 x 726 pairs of terms
+    path = tmp_path / "maj12.json"
+    path.write_text(stat_to_json(builtin("maj", 12).explicit()), encoding="utf-8")
+    _, err = run_cli(capsys, ["stat", str(path), "--moment", "3"], expect_rc=3)
     assert err == (
         "refused: statistic product pair visits = 99154176 exceeds the guard limit 2000000"
         " (set PATHMN_MAX_N to override)\n"
     )
 
 
-def test_statistic_product_guard_counts_held_terms(capsys, monkeypatch):
-    # maj^2 at n = 6 holds 695 terms, 607 after the outer term that passes 600;
-    # the limit is lowered past PATHMN_MAX_N's reach, since a product holds no
-    # more terms than it visits pairs
+def test_statistic_product_guard_counts_held_terms(capsys, monkeypatch, tmp_path):
+    # maj^2 term by term at n = 6 holds 695 terms, 607 after the outer term that
+    # passes 600; the limit is lowered past PATHMN_MAX_N's reach, since a product
+    # holds no more terms than it visits pairs
+    path = tmp_path / "maj6.json"
+    path.write_text(stat_to_json(builtin("maj", 6).explicit()), encoding="utf-8")
     monkeypatch.setattr("pathmn.statistics._MAX_TERMS", 600)
     clear_caches()
-    _, err = run_cli(capsys, ["stat", "maj", "--n", "6", "--moment", "2"], expect_rc=3)
+    _, err = run_cli(capsys, ["stat", str(path), "--moment", "2"], expect_rc=3)
     assert err == (
         "refused: statistic product terms = 607 exceeds the guard limit 600"
         " (set PATHMN_MAX_N to override)\n"
@@ -385,14 +390,15 @@ def test_statistic_product_guard_counts_held_terms(capsys, monkeypatch):
 
 
 def test_builtin_statistic_guard_counts_terms(capsys):
-    # maj's terms are counted in closed form, so it is refused unbuilt
-    _, err = run_cli(capsys, ["stat", "maj", "--n", "1000"], expect_rc=3)
-    assert err == (
-        "refused: statistic terms = 499000500 exceeds the guard limit 250000"
-        " (set PATHMN_MAX_N to override)\n"
-    )
-    # exc is one pattern, symmetrized by its census with no term built
-    # (refused at 4,999,950,000 terms while it was built term by term)
+    # maj's terms are counted in closed form, so building them is refused unbuilt
+    with pytest.raises(GuardError, match="^statistic terms = 499000500 exceeds the guard limit 250000 "):
+        builtin("maj", 1000).explicit()
+    # maj, des and exc are pattern tables, symmetrized by their census with no
+    # term built (maj was refused at 499,000,500 terms and exc at 4,999,950,000)
+    out, _ = run_cli(capsys, ["stat", "maj", "--n", "1000"])
+    assert out == "249750·s[1000] − (1/2)·s[999,1] − (1/2)·s[998,1,1]\n"
+    out, _ = run_cli(capsys, ["stat", "des", "--n", "1000"])
+    assert out == "(999/2)·s[1000] − (1/1000)·s[999,1] − (1/1000)·s[998,1,1]\n"
     out, _ = run_cli(capsys, ["stat", "exc", "--n", "100000"])
     assert out == "(99999/2)·s[100000] − (1/2)·s[99999,1]\n"
 
@@ -549,7 +555,7 @@ def test_oracle_check(capsys):
         "atomic: OK (24 comparisons)",
         "words: OK (7 comparisons)",
         "alternant: OK (18 comparisons)",
-        "census: OK (9 comparisons)",
+        "census: OK (21 comparisons)",
     ]
 
 

@@ -155,14 +155,22 @@ def test_word_array_guards():
 def test_census_sweep_checks_every_n_and_catches_a_lost_interleaving(monkeypatch):
     clear_caches()
     assert ORACLE_CHECKS["census"](0) == 0
-    assert ORACLE_CHECKS["census"](4) == 12  # exc, exc^2 and exc^3 at n = 1..4
-    assert ORACLE_CHECKS["census"](100) == 36  # the sweep stops at n = 12
+    assert ORACLE_CHECKS["census"](4) == 28  # exc to exc^3, maj and des to their squares, at n = 1..4
+    assert ORACLE_CHECKS["census"](100) == 68  # exc stops at n = 12, maj and des at 8
     # a product that never lets two points coincide loses exc^2's 1 -> 2 at n = 2
-    every = pathmn.statistics._interleavings
-    monkeypatch.setattr(pathmn.statistics, "_interleavings",
-                        lambda a, b, n: (x for x in every(a, b, n) if x[0] == a + b))
+    every = pathmn.statistics._merges
+    monkeypatch.setattr(pathmn.statistics, "_merges",
+                        lambda r, links_a, s, links_b, cap: (x for x in every(r, links_a, s, links_b, cap)
+                                                             if x[0] == r + s))
     clear_caches()
     with pytest.raises(OracleMismatch, match=r"exc\^2 at n=2"):
+        ORACLE_CHECKS["census"](4)
+    monkeypatch.undo()
+    # a merge that lets a lone point split a link gives maj^2 terms that are no descents
+    steps = pathmn.statistics._steps
+    monkeypatch.setattr(pathmn.statistics, "_steps", lambda i, j, r, links_a, s, links_b: steps(i, j, r, (), s, ()))
+    clear_caches()
+    with pytest.raises(OracleMismatch, match=r"maj\^2 at n=3"):
         ORACLE_CHECKS["census"](4)
     monkeypatch.undo()
     clear_caches()

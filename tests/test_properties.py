@@ -98,26 +98,30 @@ def test_symmetrize_is_the_average_of_the_atomic_expansions(data):
 @st.composite
 def pattern_statistics(draw, n):
     """A table of up to 4 patterns, each a partial permutation on 1..4 packed
-    onto the points it uses, with Fraction coefficients, reduced as built."""
+    onto the points it uses, with links, weights and Fraction coefficients,
+    reduced as built."""
     table = {}
     for _ in range(draw(st.integers(0, 4))):
         k = draw(st.integers(0, 4))
         I = draw(st.permutations(range(1, 5)))[:k]
         J = draw(st.permutations(range(1, 5)))[:k]
         packed = pack(PartialPermutation(4, tuple(I), tuple(J)))[0]
-        key = (packed.n, packed.canonical().pairs())
+        r = packed.n
+        links = tuple(sorted(draw(st.sets(st.integers(1, r - 1), max_size=2)))) if r > 1 else ()
+        weights = tuple(sorted(draw(st.lists(st.integers(1, r), max_size=2)))) if r else ()
+        key = (r, packed.canonical().pairs(), links, weights)
         table[key] = table.get(key, 0) + draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
     den = math.lcm(*(c.denominator for c in table.values()))
     nums = {key: int(c * den) for key, c in table.items() if c}
     g = math.gcd(den, *nums.values())
-    return PatternStatistic(tuple(sorted((r, Q, c // g) for (r, Q), c in nums.items())), den // g, n)
+    return PatternStatistic(tuple(sorted((*key, c // g) for key, c in nums.items())), den // g, n)
 
 
 @SEEDED
 @given(st.data())
 def test_pattern_route_matches_the_explicit_route(data):
-    # the census and the interleaving product against the same statistics
-    # built and merged term by term; patterns on more than n points vanish
+    # the census and the merge product against the same statistics built and
+    # merged term by term; patterns on more than n points vanish
     n = data.draw(st.integers(1, 8))
     f, g = data.draw(pattern_statistics(n)), data.draw(pattern_statistics(n))
     assert symmetrize(f) == symmetrize(f.explicit())

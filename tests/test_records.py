@@ -23,7 +23,7 @@ RECORDS = {
     "RibbonAddition": lambda: add_ribbons((2, 1), 2)[0],
     "PartialPermutation": lambda: parse_pp("1,2 -> 2,3", 4),
     "IndicatorTerm": lambda: IndicatorTerm(Fraction(1, 2), PartialPermutation(3, [1], [2])),
-    "Statistic": lambda: builtin("maj", 4),
+    "Statistic": lambda: builtin("maj", 4).explicit(),
     "PatternStatistic": lambda: builtin("exc", 4),
     "ClassFunction": lambda: symmetrize(builtin("exc", 4)),
     "PolynomialityReport": lambda: coefficient_polynomiality(

@@ -5,6 +5,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -33,11 +34,18 @@ from pathmn import (
     variance_on_class,
     z_mu,
 )
-from brute import all_perms, class_averages, cycle_type_of, exc_of, maj_of, merge_pairs
+from brute import all_perms, class_averages, cycle_type_of, des_of, exc_of, maj_of, merge_pairs
 
 
 def mult(mu, i):
     return multiplicities(mu).get(i, 0)
+
+
+def table_product(f, g, cap=None):
+    """The product of two pattern tables on at most cap points (default n),
+    whichever route stat_product would take."""
+    patterns, den = pathmn.statistics._table_product(f.patterns, f.den, g.patterns, g.den, cap or f.n)
+    return PatternStatistic(patterns, den, f.n)
 
 
 def test_builtin_exc_terms():
@@ -67,9 +75,9 @@ def test_builtin_maj_terms():
 
 def test_builtin_degenerate_and_errors():
     assert builtin("exc", 1).terms == ()
-    assert builtin("maj", 1).terms == ()
+    assert builtin("maj", 1).terms == builtin("des", 1).terms == ()
     with pytest.raises(ParseError):
-        builtin("des", 5)
+        builtin("inv", 5)
     with pytest.raises(ParseError):
         builtin("exc", 0)
 
@@ -259,8 +267,10 @@ def test_stat_product_matches_pairwise_merges():
             assert stat_product(f, g) == pairwise_product(n, f_terms, g_terms)
     for n in range(2, 7):
         exc, maj = builtin("exc", n), builtin("maj", n)
-        assert stat_product(exc, maj) == pairwise_product(n, exc.terms, maj.terms)
-        assert stat_product(maj, maj) == pairwise_product(n, maj.terms, maj.terms)
+        assert stat_product(exc, maj).explicit() == pairwise_product(n, exc.terms, maj.terms)
+        assert stat_product(maj, maj).explicit() == pairwise_product(n, maj.terms, maj.terms)
+        des = builtin("des", n)
+        assert stat_product(maj, des).explicit() == pairwise_product(n, maj.terms, des.terms)
 
 
 def test_stat_product_square_matches_pairwise_merges():
@@ -286,7 +296,7 @@ def test_stat_product_square_matches_pairwise_merges():
 
 def test_stat_product_guard_counts_pair_visits(monkeypatch):
     # a square visits |f|(|f| + 1)/2 pairs of terms, any other product |f|·|g|
-    exc, maj = builtin("exc", 6).explicit(), builtin("maj", 6)
+    exc, maj = builtin("exc", 6).explicit(), builtin("maj", 6).explicit()
     assert (len(exc.nums), len(maj.nums)) == (15, 75)
     for g, visits in [(exc, 120), (maj, 1125)]:
         monkeypatch.setenv("PATHMN_MAX_N", str(visits - 1))
@@ -302,7 +312,7 @@ def test_stat_product_guard_counts_held_terms(monkeypatch):
     # more terms than it visits pairs, so under PATHMN_MAX_N the visit guard
     # fires first and only a lowered _MAX_TERMS reaches this one
     monkeypatch.delenv("PATHMN_MAX_N", raising=False)
-    exc, maj = builtin("exc", 6).explicit(), builtin("maj", 6)
+    exc, maj = builtin("exc", 6).explicit(), builtin("maj", 6).explicit()
     default = pathmn.statistics._MAX_TERMS
     for f, g, held in [(exc, exc, 80), (exc, maj, 554), (maj, maj, 695)]:
         clear_caches()
@@ -326,8 +336,8 @@ def test_stat_product_guard_counts_held_terms(monkeypatch):
 
 
 def test_builtin_guard_counts_terms(monkeypatch):
-    # exc has C(n, 2) terms and maj (n - 1)·C(n, 2), counted before any is built:
-    # maj's by builtin, exc's by explicit(), since builtin exc is one pattern
+    # exc has C(n, 2) terms and maj (n - 1)·C(n, 2), the placements of their
+    # patterns, counted by explicit() before any is built
     def build(name, n):
         return builtin(name, n).explicit()
 
@@ -341,8 +351,9 @@ def test_builtin_guard_counts_terms(monkeypatch):
     for name, n, count in [("exc", 708, 250278), ("maj", 81, 259200)]:
         with pytest.raises(GuardError, match=f"statistic terms = {count} exceeds the guard limit 250000"):
             build(name, n)
-    # the pattern itself is never refused for its n
-    assert builtin("exc", 708).patterns == builtin("exc", 10**6).patterns == ((2, ((1, 2),), 1),)
+    # the patterns themselves are never refused for their n
+    assert builtin("exc", 708).patterns == builtin("exc", 10**6).patterns == ((2, ((1, 2),), (), (), 1),)
+    assert builtin("maj", 81).patterns == builtin("maj", 10**6).patterns
 
 
 def test_pattern_product_guard_counts_interleavings(monkeypatch):
@@ -351,7 +362,7 @@ def test_pattern_product_guard_counts_interleavings(monkeypatch):
     # past _MAX_VISITS
     exc = builtin("exc", 6)
     square = stat_product(exc, exc)
-    assert [r for r, _, _ in square.patterns] == [2, 3, 4, 4, 4]
+    assert [r for r, *_ in square.patterns] == [2, 3, 4, 4, 4]
     products = []
     for f, visits in [(exc, 13), (square, 13 + 25 + 3 * 41)]:
         monkeypatch.setenv("PATHMN_MAX_N", str(visits - 1))
@@ -372,36 +383,127 @@ def test_pattern_product_guard_counts_interleavings(monkeypatch):
     monkeypatch.setattr(pathmn.statistics, "_MAX_TERMS", 5)
     clear_caches()
     assert stat_product(exc, exc) == square
-    count, walk = pathmn.statistics._interleaving_count, pathmn.statistics._interleavings
+    # a square walks each unordered pair of patterns once: maj^2 1592 merges, and
+    # maj times des, the same patterns unweighted, all 2744 ordered ones
+    maj, des = builtin("maj", 8), builtin("des", 8)
+    for g, visits in [(maj, 1592), (des, 2744)]:
+        monkeypatch.setenv("PATHMN_MAX_N", str(visits - 1))
+        clear_caches()
+        with pytest.raises(GuardError, match=f"statistic product interleavings = {visits} exceeds"):
+            stat_product(maj, g)
+    monkeypatch.delenv("PATHMN_MAX_N")
+    merges, counts = pathmn.statistics._merges, pathmn.statistics._merge_counts
+
+    def count(a, b, cap, links_a=(), links_b=()):
+        return sum(counts(((a, (), links_a, (), 1),), ((b, (), links_b, (), 1),))[:cap + 1])
+
     assert [count(a, b, 10) for a, b in [(0, 5), (2, 2), (3, 2), (4, 2), (3, 3)]] == [1, 13, 25, 41, 63]
     # at n = 3 two pairs interleave on 2 or 3 points only: 1 + 6 of the 13
     assert count(2, 2, 3) == 7 and count(4, 2, 3) == 0
-    for a in range(6):
-        for b in range(6):
-            for n in range(1, 11):
-                maps = [(t, beta) for t, _, betas in walk(a, b, n) for beta in betas]
-                assert len(maps) == count(a, b, n) and all(t <= n for t, _ in maps)
+    # linked pairs keep 1 + 2 + 2 of them (on 2, 3 and 4 points), one linked pair
+    # 1 + 4 + 3, since no lone point may come between two linked points
+    assert count(2, 2, 10, (1,), (1,)) == 5 and count(2, 2, 10, (1,)) == 8
+    # the walk against every pair of increasing maps that covers 1..t and keeps the
+    # links; with no links these are all the interleavings
+    for a in range(5):
+        for b in range(5):
+            for links_a in [c for k in range(a) for c in combinations(range(1, a), k)]:
+                for links_b in [c for k in range(b) for c in combinations(range(1, b), k)]:
+                    expect = sorted(
+                        (t, (0, *alpha), (0, *beta))
+                        for t in range(a + b + 1)
+                        for alpha in combinations(range(1, t + 1), a)
+                        for beta in combinations(range(1, t + 1), b)
+                        if set(alpha) | set(beta) == set(range(1, t + 1))
+                        and all(alpha[p] == alpha[p - 1] + 1 for p in links_a)
+                        and all(beta[q] == beta[q - 1] + 1 for q in links_b))
+                    for cap in range(9):
+                        walked = sorted(merges(a, links_a, b, links_b, cap))
+                        assert walked == [x for x in expect if x[0] <= cap]
+                        assert count(a, b, cap, links_a, links_b) == len(walked)
+
+
+def test_a_pattern_product_takes_the_cheaper_route(monkeypatch):
+    # at n = 5 maj^2 walks 531 merges where its terms visit 40 x 41 / 2 = 820
+    # pairs; a merge of linked patterns costs about _MERGE_COST pair visits, so
+    # the terms are the cheaper route, unless only the merges fit the guard
+    f, e = builtin("maj", 5), builtin("maj", 5).explicit()
+    reference = stat_product(e, e)
+    for limit, route in [(820, Statistic), (819, PatternStatistic)]:
+        monkeypatch.setenv("PATHMN_MAX_N", str(limit))
+        clear_caches()
+        square = stat_product(f, f)
+        assert type(square) is route and square.explicit() == reference
+    # past both, the product is refused on the smaller count: the merges here
+    monkeypatch.setenv("PATHMN_MAX_N", "530")
+    clear_caches()
+    with pytest.raises(GuardError, match="statistic product interleavings = 531 exceeds the guard limit 530 "):
+        stat_product(f, f)
+    monkeypatch.delenv("PATHMN_MAX_N")
+    # and the pair visits when the terms are fewer: maj^3's table at n = 4 times
+    # maj walks 782 merges, while its 32 terms visit 32 x 18 = 576 pairs
+    f, e = builtin("maj", 4), builtin("maj", 4).explicit()
+    cube = table_product(table_product(f, f), f)
+    reference = stat_product(stat_product(stat_product(e, e), e), e)
+    monkeypatch.setenv("PATHMN_MAX_N", "576")
+    clear_caches()
+    fourth = stat_product(cube, f)
+    assert type(fourth) is Statistic and fourth == reference
+    assert all(eval_pointwise(fourth, w) == maj_of(w) ** 4 for w in all_perms(4))
+    monkeypatch.setenv("PATHMN_MAX_N", "575")
+    clear_caches()
+    with pytest.raises(GuardError, match="statistic product pair visits = 576 exceeds the guard limit 575 "):
+        stat_product(cube, f)
+
+
+def test_a_pattern_table_serves_every_n_when_it_costs_little_more():
+    # maj^2 walks 1592 merges on every number of points and 1472 on at most 7:
+    # the table of patterns on up to 8 points, built at n = 7, serves n = 8
+    clear_caches()
+    square = stat_product(builtin("maj", 7), builtin("maj", 7))
+    assert max(r for r, *_ in square.patterns) == 8
+    assert stat_product(builtin("maj", 8), builtin("maj", 8)).patterns == square.patterns
+    info = pathmn.statistics._table_product.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # exc^3 walks 161 merges on every number of points, 116 on at most 5 and 46
+    # on at most 4, of which 161 is more than half again
+    for n, most in [(5, 6), (4, 4)]:
+        f = builtin("exc", n)
+        assert max(r for r, *_ in stat_product(stat_product(f, f), f).patterns) == most
+
+
+def test_a_high_power_at_small_n_goes_term_by_term():
+    # maj^40 at n = 4: once the terms are the cheaper route every further factor
+    # multiplies them, 32 x 18 pair visits at most, however many weights pile up
+    f, e = builtin("maj", 4), builtin("maj", 4).explicit()
+    power, reference = f, e
+    for _ in range(39):
+        power, reference = stat_product(power, f), stat_product(reference, e)
+    assert type(power) is Statistic and power == reference
+    assert all(eval_pointwise(power, w) == maj_of(w) ** 40 for w in all_perms(4))
+    assert class_eval(symmetrize(power), (1, 1, 1, 1)) == 0
 
 
 def test_exc_powers_are_pattern_statistics():
     # exc^2 on 2, 3 and 4 points: 1 -> 2 once, the chain 1 -> 2 -> 3 and the
     # three ways two disjoint pairs interleave twice each
     f = builtin("exc", 9)
-    assert f == PatternStatistic(((2, ((1, 2),), 1),), 1, 9)
+    assert f == PatternStatistic(((2, ((1, 2),), (), (), 1),), 1, 9)
     square = stat_product(f, f)
     assert type(square) is PatternStatistic and square.n == 9 and square.den == 1
     assert square.patterns == (
-        (2, ((1, 2),), 1),
-        (3, ((1, 2), (2, 3)), 2),
-        (4, ((1, 2), (3, 4)), 2),
-        (4, ((1, 3), (2, 4)), 2),
-        (4, ((1, 4), (2, 3)), 2),
+        (2, ((1, 2),), (), (), 1),
+        (3, ((1, 2), (2, 3)), (), (), 2),
+        (4, ((1, 2), (3, 4)), (), (), 2),
+        (4, ((1, 3), (2, 4)), (), (), 2),
+        (4, ((1, 4), (2, 3)), (), (), 2),
     )
     # one explicit term per placement of each pattern: C(9,2) + C(9,3) + 3·C(9,4)
     assert len(square.explicit().nums) == 36 + 84 + 3 * 126
     # a product with any Statistic goes term by term
-    assert type(stat_product(f, builtin("maj", 9))) is Statistic
-    assert stat_product(f, builtin("maj", 9)) == stat_product(f.explicit(), builtin("maj", 9))
+    maj = builtin("maj", 9).explicit()
+    assert type(stat_product(f, maj)) is Statistic
+    assert stat_product(f, maj) == stat_product(f.explicit(), maj)
 
 
 def test_pattern_and_explicit_records_never_share_a_memo_entry():
@@ -424,7 +526,11 @@ def test_pattern_and_explicit_records_never_share_a_memo_entry():
         assert type(stat_product(Statistic(3, 1, ()), one_term)) is Statistic
 
 
-@pytest.mark.parametrize("n", [40, 300, 1000])
+# seeded sizes past the brute range, up to 2000
+LARGE_N = sorted(random.Random(27).sample(range(1001, 2001), 2))
+
+
+@pytest.mark.parametrize("n", [40, 300, 1000, 2 * (LARGE_N[0] // 2)])
 def test_exc_is_constant_on_fixed_point_free_involutions(n):
     # on the class 2^{n/2} every 2-cycle has exactly one exceedance, so exc is
     # n/2 there: its moments are (n/2)^m and its variance is 0, at any n
@@ -436,6 +542,108 @@ def test_exc_is_constant_on_fixed_point_free_involutions(n):
             power = stat_product(power, f)
         assert class_eval(symmetrize(power), involutions) == Fraction(n, 2) ** m
     assert variance_on_class(f, involutions) == 0
+
+
+def test_maj_and_des_are_linked_pattern_statistics():
+    # a descent at a is 1_{(a, d), (a + 1, b)} for b < d: 8 patterns on 2, 3 and 4
+    # points, linked at a, and maj weights each by a
+    maj, des = builtin("maj", 9), builtin("des", 9)
+    assert [(r, Q, links) for r, Q, links, _, _ in maj.patterns] == [
+        (2, ((1, 2), (2, 1)), (1,)),
+        (3, ((1, 3), (2, 1)), (1,)),
+        (3, ((1, 3), (2, 2)), (1,)),
+        (3, ((2, 2), (3, 1)), (2,)),
+        (3, ((2, 3), (3, 1)), (2,)),
+        (4, ((1, 4), (2, 3)), (1,)),
+        (4, ((2, 4), (3, 1)), (2,)),
+        (4, ((3, 2), (4, 1)), (3,)),
+    ]
+    assert all(weights == links and c == 1 for _, _, links, weights, c in maj.patterns)
+    assert des.patterns == tuple((r, Q, links, (), c) for r, Q, links, _, c in maj.patterns)
+    # (n - 1)·C(n, 2) placements, one term each
+    assert len(maj.explicit().nums) == len(des.explicit().nums) == 8 * 36
+    for n in range(1, 7):
+        for w in all_perms(n):
+            assert eval_pointwise(builtin("des", n), w) == des_of(w)
+
+
+def test_des_class_moments_match_brute():
+    for n in range(1, 8):
+        f = builtin("des", n)
+        means, seconds = class_averages(n, des_of), class_averages(n, lambda w: des_of(w) ** 2)
+        first, second = symmetrize(f), symmetrize(stat_product(f, f))
+        for mu in partitions_of(n):
+            assert class_eval(first, mu) == means[mu]
+            assert class_eval(second, mu) == seconds[mu]
+
+
+def s_n_moments(f, m):
+    """The mean of f, ..., f^m over S_n: each is the s[n] coefficient of its class function."""
+    out, power = [], f
+    for k in range(1, m + 1):
+        if k > 1:
+            power = stat_product(power, f)
+        out.append(symmetrize(power).schur.coeff((f.n,)))
+    return out
+
+
+@pytest.mark.parametrize("n", [40, 300, 1000, *LARGE_N])
+def test_maj_mean_and_variance_over_s_n_at_large_n(n):
+    mean, second = s_n_moments(builtin("maj", n), 2)
+    assert mean == Fraction(n * (n - 1), 4)
+    assert second - mean**2 == Fraction(n * (n - 1) * (2 * n + 5), 72)
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_des_mean_and_variance_over_s_n_at_large_n(n):
+    mean, second = s_n_moments(builtin("des", n), 2)
+    assert mean == Fraction(n - 1, 2)
+    assert second - mean**2 == Fraction(n + 1, 12)
+
+
+@pytest.mark.parametrize("n", [40, 300])
+def test_maj_moments_vanish_on_the_identity(n):
+    f = builtin("maj", n)
+    for cf in (symmetrize(f), symmetrize(stat_product(f, f))):
+        assert class_eval(cf, (1,) * n) == 0
+
+
+def test_maj_on_the_transpositions_at_n_200():
+    # a transposition (i j) of the identity moves only the descents at i - 1, i,
+    # j - 1 and j, so each maj is read off those four positions: O(n^2) in all
+    n = 200
+    total = square = 0
+    for i, j in combinations(range(1, n + 1), 2):
+        w = {i: j, j: i}
+        value = sum(p for p in {i - 1, i, j - 1, j} if 1 <= p < n and w.get(p, p) > w.get(p + 1, p + 1))
+        total, square = total + value, square + value**2
+    pairs = math.comb(n, 2)
+    f = builtin("maj", n)
+    transpositions = (2,) + (1,) * (n - 2)
+    assert class_eval(symmetrize(f), transpositions) == Fraction(total, pairs)
+    assert class_eval(symmetrize(stat_product(f, f)), transpositions) == Fraction(square, pairs)
+
+
+def test_maj_census_matches_the_explicit_route():
+    # the pattern products of maj^2 (on at most n points and on every number)
+    # and maj^3 read at each n against the same powers built and merged term by
+    # term, whichever route stat_product takes
+    for n in range(1, 11):
+        f = builtin("maj", n)
+        reference = stat_product(f.explicit(), f.explicit())
+        for square in (stat_product(f, f), table_product(f, f), table_product(f, f, math.inf)):
+            assert square.explicit() == reference
+            assert symmetrize(square) == symmetrize(reference)
+    for n in range(1, 8):
+        f = builtin("maj", n)
+        cube = table_product(table_product(f, f), f)
+        reference = stat_product(stat_product(f.explicit(), f.explicit()), f.explicit())
+        assert symmetrize(cube) == symmetrize(reference)
+    # past the explicit route's reach: maj is symmetric about its mean over S_n,
+    # so its third moment there is mean^3 + 3·mean·variance
+    n = 12
+    mean, second, third = s_n_moments(builtin("maj", n), 3)
+    assert third == mean**3 + 3 * mean * (second - mean**2)
 
 
 def test_stat_product_edge_cases():
@@ -472,7 +680,7 @@ def test_stat_product_builds_one_term_per_result(monkeypatch):
     # products and symmetrization run on pair tuples and integers: they build
     # no partial permutation, no indicator term and no Fraction at all;
     # reading .terms builds one of each per term
-    maj6 = builtin("maj", 6)
+    maj6 = builtin("maj", 6).explicit()
     built, terms_built, fractions = [], [], []
     validate = PartialPermutation.__new__
     term_new = IndicatorTerm.__new__
