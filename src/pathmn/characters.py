@@ -27,7 +27,7 @@ from pathmn.partitions import (
     partitions_of,
 )
 from pathmn.ribbons import _mask, _ribbon_chains, _stable_terms, memo, skew_mn, tiling_tally
-from pathmn.symfunc import SymExpansion, _p_to_schur
+from pathmn.symfunc import SCHUR, SymExpansion, _p_to_schur
 
 __all__ = [
     "atomic_schur",
@@ -58,7 +58,7 @@ def _atomic_from_type(core, nu, n) -> dict:
 def atomic_schur(pp: PartialPermutation) -> SymExpansion:
     """Schur expansion of the atomic function A_{n,I,J}; coefficients are the
     character values chi^lam([I,J])."""
-    return SymExpansion._from_masks(pp.n, _atomic_from_type(*_graph_type(pp.pairs()), pp.n))
+    return SymExpansion._trusted(SCHUR, pp.n, 1, _atomic_from_type(*_graph_type(pp.pairs()), pp.n))
 
 
 def char_eval(lam, pp: PartialPermutation) -> int:
@@ -153,7 +153,7 @@ def support_check(expansion: SymExpansion, n: int, k: int) -> bool:
     """True iff every shape with nonzero coefficient has first part >= n - k."""
     if expansion.degree != n:
         raise ParseError(f"expansion degree {expansion.degree} != n = {n}")
-    return all((lam[0] if lam else 0) >= n - k for lam in expansion.terms)
+    return all(m.bit_length() - m.bit_count() >= n - k for m in expansion.nums)  # first part of m
 
 
 class PolynomialityReport(NamedTuple):

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from pathmn import characters, oracles, ribbons, statistics, symfunc
 from pathmn.errors import GuardError, OracleMismatch, ParseError, int_text, read_int
@@ -147,7 +146,7 @@ def _cmd_p_expand(args):
     if args.in_path_basis:
         exp = SymExpansion(PATH, sum(mu), symfunc.p_in_path_basis(mu))
     else:
-        exp = symfunc.power_to_schur(SymExpansion(POWER, sum(mu), {mu: Fraction(1)}))
+        exp = symfunc.power_to_schur(SymExpansion(POWER, sum(mu), {mu: 1}))
     _print(exp, args)
 
 
@@ -193,8 +192,7 @@ def _cmd_stat(args):
     power = f
     for _ in range(moment - 1):
         power = statistics.stat_product(power, f)
-    cf = statistics.symmetrize(power)
-    _print(cf.schur, args)
+    _print(statistics.symmetrize(power), args)
 
 
 def _cmd_oracle_check(args):

@@ -10,10 +10,13 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from decimal import Decimal
+from decimal import MAX_EMAX, Context, Decimal, Inexact, Rounded
 
 __all__ = ["ParseError", "GuardError", "OracleMismatch", "effective_limit", "check_guard",
            "read_int", "int_text", "json_fields"]
+
+# 4214 digits, under CPython's default 4300-digit int<->str limit: int_text keeps str(v) below it
+_SPLIT_BITS = 14_000
 
 
 class ParseError(ValueError):
@@ -45,10 +48,35 @@ def read_int(text, what="value", size=True) -> int:
 
 def int_text(v: int) -> str:
     """Decimal digits of v, in full at any size."""
+    if v.bit_length() > _SPLIT_BITS:
+        text = str(_int_decimal(abs(v)))
+        return "-" + text if v < 0 else text
     try:
         return str(v)
-    except ValueError:
+    except ValueError:  # a digit limit set below the default
         return str(Decimal(v))
+
+
+def _int_decimal(v: int) -> Decimal:
+    """Decimal(v) for v >= 0, exactly. Decimal(v) and str(v) take time
+    quadratic in the digits, so past the default digit limit (by bit length,
+    which no setting of the limit moves) v is split as hi·2^k + lo, k =
+    _SPLIT_BITS·2^j, and the halves are joined in exact Decimal arithmetic,
+    whose products of large numbers are subquadratic."""
+    if v.bit_length() <= _SPLIT_BITS:
+        return Decimal(v)
+    ctx = Context(prec=v.bit_length() // 3 + 2, Emax=MAX_EMAX, traps=[Inexact, Rounded])
+    powers = [Decimal(1 << _SPLIT_BITS)]  # 2^(_SPLIT_BITS·2^j) at index j
+    while _SPLIT_BITS << len(powers) < v.bit_length():
+        powers.append(ctx.multiply(powers[-1], powers[-1]))
+
+    def join(v, j):  # v < 2^(_SPLIT_BITS·2^(j + 1))
+        if j < 0:
+            return Decimal(v)
+        k = _SPLIT_BITS << j
+        return ctx.add(ctx.multiply(join(v >> k, j - 1), powers[j]), join(v & ((1 << k) - 1), j - 1))
+
+    return join(v, len(powers) - 1)
 
 
 @contextmanager

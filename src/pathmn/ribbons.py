@@ -335,9 +335,9 @@ def stable_expansion(mu, n: int):
     padded partition (tested). The frozen walk of mu is done once for every n
     (_frozen_prefixes); each n then costs one pass over its table.
     """
-    from pathmn.symfunc import SymExpansion
+    from pathmn.symfunc import SCHUR, SymExpansion
 
-    return SymExpansion._from_masks(n, _stable_terms(_check_stable_mu(mu, n), n))
+    return SymExpansion._trusted(SCHUR, n, 1, _stable_terms(_check_stable_mu(mu, n), n))
 
 
 def _stable_terms(mu, n: int) -> dict:

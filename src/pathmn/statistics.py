@@ -11,7 +11,8 @@ Products run on bitmasks: a term is its pair, source and target masks, and two
 terms merge iff they share as many pairs as sources and as targets. A square
 visits each unordered pair of terms once. A product is refused before its loop
 past _MAX_VISITS pair visits or merges, and in it past _MAX_TERMS held terms
-or patterns. A ClassFunction holds integers on Maya masks.
+or patterns. symmetrize returns a Schur SymExpansion: integers on Maya masks,
+the form class_eval removes ribbons from.
 
 A statistic whose coefficient on 1_{I,J} depends only on the packed pattern Q
 of its pairs, on which of its points are adjacent (links) and on a product of
@@ -35,7 +36,6 @@ import json
 import math
 from fractions import Fraction
 from itertools import combinations
-from types import MappingProxyType
 from typing import NamedTuple
 
 from pathmn.characters import _atomic_from_type
@@ -45,12 +45,11 @@ from pathmn.errors import (ParseError, check_guard, effective_limit, int_text, j
 from pathmn.partial_perm import IndicatorTerm, PartialPermutation, _graph_type, decompose
 from pathmn.partitions import check_partition
 from pathmn.ribbons import _ribbon_chains, memo
-from pathmn.symfunc import SymExpansion
+from pathmn.symfunc import SCHUR, SymExpansion, _reduced
 
 __all__ = [
     "Statistic",
     "PatternStatistic",
-    "ClassFunction",
     "make_statistic",
     "builtin",
     "BUILTINS",
@@ -143,24 +142,6 @@ class PatternStatistic(NamedTuple):
                 pairs = tuple((alpha[i], alpha[j]) for i, j in Q)
                 acc[pairs] = acc.get(pairs, 0) + c * math.prod(alpha[p] for p in weights)
         return _statistic(n, self.den, acc)
-
-
-class ClassFunction(NamedTuple):
-    """A class function on S_n through ch_n: R f = sum (num/den)·chi^lam.
-
-    nums holds one nonzero int per lam, keyed by its Maya mask, the form
-    class_eval removes ribbons from; gcd(den, *nums) is 1, so equal class
-    functions are ==. symmetrize's nums is read-only: its memo shares it.
-    """
-
-    n: int
-    den: int
-    nums: dict
-
-    @property
-    def schur(self) -> SymExpansion:
-        """The Schur expansion, decoded from the masks each time it is read."""
-        return SymExpansion._from_masks(self.n, {m: Fraction(v, self.den) for m, v in self.nums.items()})
 
 
 def _statistic(n: int, den: int, acc) -> Statistic:
@@ -429,8 +410,8 @@ def _weight(n, r, links, weights) -> int:
 
 
 @memo(maxsize=4)
-def symmetrize(f) -> ClassFunction:
-    """ch_n(R f): group terms by graph type, expand each class atomically.
+def symmetrize(f) -> SymExpansion:
+    """ch_n(R f), a Schur expansion: group terms by graph type, expand each class atomically.
 
     Indicators with the same path and cycle type have identical atomic
     expansions, so the Reynolds average costs one expansion per class, divided
@@ -456,16 +437,14 @@ def symmetrize(f) -> ClassFunction:
         if c:
             for m, v in _atomic_from_type(core, nu, f.n).items():
                 acc[m] = acc.get(m, 0) + c * v
-    scale = f.den * math.factorial(f.n)
-    g = math.gcd(scale, *acc.values())
-    return ClassFunction(f.n, scale // g, MappingProxyType({m: v // g for m, v in acc.items() if v}))
+    return _reduced(SCHUR, f.n, f.den * math.factorial(f.n), acc)
 
 
-def class_eval(cf: ClassFunction, mu) -> Fraction:
-    """Value of the class function on the conjugacy class of cycle type mu."""
+def class_eval(cf: SymExpansion, mu) -> Fraction:
+    """Value of the class function with Schur expansion cf on the conjugacy class of cycle type mu."""
     mu = check_partition(tuple(sorted(mu, reverse=True)))
-    if sum(mu) != cf.n:
-        raise ParseError(f"|mu| = {sum(mu)} but the class function lives on S_{cf.n}")
+    if cf.basis != SCHUR or sum(mu) != cf.degree:
+        raise ParseError(f"need a Schur expansion of degree |mu| = {sum(mu)}, got ({cf.basis}, {cf.degree})")
     # remove mu from the support
     return Fraction(_ribbon_chains(cf.nums, [-r for r in mu]).get(0, 0), cf.den)
 

@@ -1,7 +1,9 @@
 """Sparse exact expansions in the Schur, power-sum and path power-sum bases.
 
 A SymExpansion is a degree-homogeneous linear combination with exact rational
-coefficients, keyed by partitions. Schur-basis expansions are closed under
+coefficients, integer numerators over one denominator keyed by Maya masks (the
+ribbon kernel's form), decoded to partitions only when a result is read or
+written. Schur-basis expansions, symmetrize's class functions among them, are closed under
 multiplication by a power sum p_r (ribbon additions), which is all the
 multiplication the package needs; conversions between the classical power
 sums, the path power sums, and the Schur basis live here too. An expansion
@@ -17,13 +19,15 @@ import io
 import math
 from decimal import MAX_EMAX, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
+from types import MappingProxyType
 
-from pathmn.errors import ParseError, int_text, json_fields, read_int
+from pathmn.errors import ParseError, _int_decimal, int_text, json_fields, read_int
 from pathmn.partitions import (
     check_composition,
     check_partition,
     enumerate_set_partitions,
     format_partition,
+    is_partition,
 )
 # add_ribbons is unused here but stays bound: perfbench's tracer test looks for it
 from pathmn.ribbons import _mask, _ribbon_chains, _shape, _stable_terms, add_ribbons, memo
@@ -60,7 +64,7 @@ _SHARED_BITS = 2048
 @memo(maxsize=64)
 def _decimal(g) -> Decimal:
     """Decimal(g): the shared factor of one n recurs in many expansions."""
-    return Decimal(g)
+    return _int_decimal(g)
 
 
 def _ints_text(values) -> list:
@@ -84,70 +88,70 @@ def _ints_text(values) -> list:
 
 
 class SymExpansion:
-    """Homogeneous expansion in one basis: map partition -> nonzero rational."""
+    """Homogeneous expansion in one basis: sum (nums[m]/den)·b_lam, nums a
+    read-only {Maya mask of lam: nonzero int} in lowest terms with den, so
+    equal expansions are ==. No field can be assigned; the partitions are
+    decoded only when terms, items, coeff or a writer reads them."""
 
     def __init__(self, basis, degree, terms):
+        """From {partition: coefficient}, validated; zero coefficients are dropped."""
         if basis not in _SYMBOL:
             raise ParseError(f"unknown basis {basis!r}")
         if degree < 0:
             raise ParseError(f"degree must be nonnegative, got {degree}")
-        self.basis = basis
-        self.degree = degree
-        clean = {}
+        coeffs = {}
         for lam, c in terms.items():
             lam = check_partition(lam)
             if sum(lam) != degree:
                 raise ParseError(f"term {lam} has degree {sum(lam)}, expected {degree}")
-            c = Fraction(c)
-            if c:
-                clean[lam] = c
-        self.terms = clean
+            coeffs[_mask(lam)] = Fraction(c)
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        nums = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items() if c}
+        vars(self).update(basis=basis, degree=degree, den=den, nums=MappingProxyType(nums))
 
     @classmethod
-    def _from_masks(cls, degree, terms) -> "SymExpansion":
-        """Schur expansion of {mask: coefficient} terms built by this package.
-
-        A decoded mask is always a partition, and the ribbon rules keep the
-        degree, so the constructor's checks are skipped; zeros are dropped.
-        """
+    def _trusted(cls, basis, degree, den, nums) -> "SymExpansion":
+        """From nonzero ints nums in lowest terms with den, unchecked; nums is wrapped, not copied."""
         out = cls.__new__(cls)
-        out.basis, out.degree = SCHUR, degree
-        out.terms = {_shape(m): Fraction(c) for m, c in terms.items() if c}
+        vars(out).update(basis=basis, degree=degree, den=den, nums=MappingProxyType(nums))
         return out
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SymExpansion is read-only: cannot set {name}")
+
+    def __reduce__(self):  # pickle and deepcopy: the view itself cannot be pickled
+        return SymExpansion._trusted, (self.basis, self.degree, self.den, dict(self.nums))
+
+    @property
+    def terms(self) -> dict:
+        """{partition: Fraction}, decoded from the masks each time it is read."""
+        return {_shape(m): Fraction(v, self.den) for m, v in self.nums.items()}
+
+    @property
+    def schur(self) -> "SymExpansion":
+        """This expansion in the Schur basis (once the decoded form of a class function)."""
+        return self if self.basis == SCHUR else power_to_schur(self)
+
     def coeff(self, lam) -> Fraction:
-        return self.terms.get(tuple(lam), Fraction(0))
+        return Fraction(self.nums.get(_mask(lam), 0) if is_partition(lam) else 0, self.den)
 
     def items(self):
         """Terms in canonical (descending lexicographic) partition order."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+        return [(lam, Fraction(num, den)) for lam, num, den in self._rows()]
+
+    def _rows(self) -> list:
+        """(partition, num, den) per term in the order of items(), in lowest terms, no Fraction built."""
+        den = self.den
+        return [(lam, v // g, den // g) if den > 1 and (g := math.gcd(v, den)) > 1 else (lam, v, den)
+                for lam, v in sorted(((_shape(m), v) for m, v in self.nums.items()), reverse=True)]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SymExpansion)
-            and self.basis == other.basis
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
+        return isinstance(other, SymExpansion) and vars(self) == vars(other)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __add__(self, other):
-        self._compatible(other)
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            out[lam] = out.get(lam, 0) + c
-        return SymExpansion(self.basis, self.degree, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "SymExpansion":
-        c = Fraction(c)
-        return SymExpansion(self.basis, self.degree, {lam: c * v for lam, v in self.terms.items()})
-
-    def _compatible(self, other):
         if not isinstance(other, SymExpansion):
             raise TypeError(f"cannot combine SymExpansion with {type(other).__name__}")
         if self.basis != other.basis or self.degree != other.degree:
@@ -155,18 +159,30 @@ class SymExpansion:
                 f"incompatible expansions: ({self.basis}, {self.degree})"
                 f" vs ({other.basis}, {other.degree})"
             )
+        out = {m: v * other.den for m, v in self.nums.items()}
+        for m, v in other.nums.items():
+            out[m] = out.get(m, 0) + v * self.den
+        return _reduced(self.basis, self.degree, self.den * other.den, out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c) -> "SymExpansion":
+        c = Fraction(c)
+        return _reduced(self.basis, self.degree, self.den * c.denominator,
+                        {m: v * c.numerator for m, v in self.nums.items()})
 
     def render(self, long=False) -> str:
         """Human format, e.g. "(5/2)·s[6] − (1/2)·s[5,1]" and "1·s[]"."""
         sym = _SYMBOL[self.basis]
-        if not self.terms:
+        if not self.nums:
             return "0"
-        items = self.items()
+        rows = self._rows()
         pieces = []
-        for (lam, c), coeff in zip(items, _ints_text([abs(c.numerator) for _, c in items])):
-            if c.denominator != 1:
-                coeff = f"({coeff}/{int_text(c.denominator)})"
-            pieces.append((c.numerator < 0, f"{coeff}{DOT}{sym}{format_partition(lam)}"))
+        for (lam, num, den), coeff in zip(rows, _ints_text([abs(num) for _, num, _ in rows])):
+            if den != 1:
+                coeff = f"({coeff}/{int_text(den)})"
+            pieces.append((num < 0, f"{coeff}{DOT}{sym}{format_partition(lam)}"))
         if long:
             return "\n".join((MINUS if neg else "") + body for neg, body in pieces)
         out = [(MINUS if pieces[0][0] else "") + pieces[0][1]]
@@ -181,23 +197,23 @@ class SymExpansion:
     def to_json(self) -> str:
         """{"basis", "degree", "terms"}, each term {"partition": [...], "num":
         "...", "den": "..."}, byte for byte as json.dumps writes them."""
-        items = self.items()
+        rows = self._rows()
         terms = [
-            '{"partition": [' + ", ".join(map(str, lam)) + '], "num": "' + num
-            + '", "den": "' + int_text(c.denominator) + '"}'
-            for (lam, c), num in zip(items, _ints_text([c.numerator for _, c in items]))
+            '{"partition": [' + ", ".join(map(str, lam)) + '], "num": "' + text
+            + '", "den": "' + int_text(den) + '"}'
+            for (lam, _, den), text in zip(rows, _ints_text([num for _, num, _ in rows]))
         ]
         return ('{"basis": "' + self.basis + '", "degree": ' + int_text(self.degree)
                 + ', "terms": [' + ", ".join(terms) + "]}")
 
     def to_csv(self) -> str:
         """A "partition,num,den" header, then one row per term; ends in a newline."""
-        items = self.items()
+        rows = self._rows()
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["partition", "num", "den"])
-        for (lam, c), num in zip(items, _ints_text([c.numerator for _, c in items])):
-            writer.writerow([format_partition(lam), num, int_text(c.denominator)])
+        for (lam, _, den), text in zip(rows, _ints_text([num for _, num, _ in rows])):
+            writer.writerow([format_partition(lam), text, int_text(den)])
         return buf.getvalue()
 
     @classmethod
@@ -213,14 +229,19 @@ class SymExpansion:
             return cls(data["basis"], read_int(data["degree"], "degree"), terms)
 
 
+def _reduced(basis, degree, den, acc) -> SymExpansion:
+    """The expansion sum (acc[m]/den)·b_m of the package's ints, in lowest terms, zeros dropped."""
+    g = math.gcd(den, *acc.values())
+    return SymExpansion._trusted(basis, degree, den // g, {m: v // g for m, v in acc.items() if v})
+
+
 def mult_by_power(f: SymExpansion, r: int) -> SymExpansion:
     """Multiply a Schur-basis expansion by the power sum p_r (ribbon rule)."""
     if f.basis != SCHUR:
         raise ParseError("mult_by_power needs a Schur-basis expansion")
     if r < 1:
         raise ParseError(f"power-sum index must be >= 1, got {r}")
-    terms = _ribbon_chains({_mask(lam): c for lam, c in f.terms.items()}, (r,))
-    return SymExpansion._from_masks(f.degree + r, terms)
+    return _reduced(SCHUR, f.degree + r, f.den, _ribbon_chains(f.nums, (r,)))
 
 
 @memo
@@ -237,12 +258,13 @@ def power_to_schur(f: SymExpansion) -> SymExpansion:
     if f.basis != POWER:
         raise ParseError("power_to_schur needs a power-basis expansion")
     out = {}
-    for mu, c in f.terms.items():
+    for m, c in f.nums.items():
+        mu = _shape(m)
         for i in reversed(range(1, len(mu))):  # suffixes shortest first: one call deep
             _p_to_schur(mu[i:])
-        for m, v in _p_to_schur(mu).items():
-            out[m] = out.get(m, 0) + c * v
-    return SymExpansion._from_masks(f.degree, out)
+        for q, v in _p_to_schur(mu).items():
+            out[q] = out.get(q, 0) + c * v
+    return _reduced(SCHUR, f.degree, f.den, out)
 
 
 def _merged_indices(mu):

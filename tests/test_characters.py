@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 import pathmn.characters
+import pathmn.ribbons
+import pathmn.symfunc
 from pathmn import (
     POWER,
     GuardError,
@@ -258,20 +260,20 @@ def test_character_table_render_and_json():
 
 
 def test_expansions_are_built_only_for_public_results(monkeypatch):
-    # an expansion is built by the validating constructor or from masks
+    # an expansion is built by the validating constructor or the trusted one
     built = []
-    init, from_masks = SymExpansion.__init__, SymExpansion._from_masks.__func__
+    init, trusted = SymExpansion.__init__, SymExpansion._trusted.__func__
 
     def counting(self, *args):
         built.append(self)
         init(self, *args)
 
-    def counting_from_masks(cls, *args):
-        built.append(from_masks(cls, *args))
+    def counting_trusted(cls, *args):
+        built.append(trusted(cls, *args))
         return built[-1]
 
     monkeypatch.setattr(SymExpansion, "__init__", counting)
-    monkeypatch.setattr(SymExpansion, "_from_masks", classmethod(counting_from_masks))
+    monkeypatch.setattr(SymExpansion, "_trusted", classmethod(counting_trusted))
     clear_caches()
     table = character_table(9)
     assert built == []
@@ -280,6 +282,20 @@ def test_expansions_are_built_only_for_public_results(monkeypatch):
     assert decompose(pp).cycle_type == (2,)
     exp = atomic_schur(pp)
     assert built == [exp]
+
+
+def test_a_warm_atomic_expansion_decodes_no_mask_and_builds_no_fraction(monkeypatch):
+    pp = PartialPermutation(1200, (1, 2, 4, 5, 7), (2, 3, 5, 6, 8))
+    first = atomic_schur(pp)
+    calls = []
+    for module in (pathmn.ribbons, pathmn.symfunc):
+        monkeypatch.setattr(module, "_shape", lambda m: calls.append(m))
+    for module in (pathmn.characters, pathmn.symfunc):
+        monkeypatch.setattr(module, "Fraction", lambda *args: calls.append(args))
+    again = atomic_schur(pp)
+    assert calls == [] and again == first and again is not first
+    monkeypatch.undo()
+    assert again.terms == first.terms and len(first.terms) == 12
 
 
 def test_public_coefficients_are_fractions():

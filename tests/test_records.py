@@ -16,7 +16,6 @@ from pathmn import (
     coefficient_polynomiality,
     parse_pp,
     stat_product,
-    symmetrize,
 )
 
 RECORDS = {
@@ -25,12 +24,11 @@ RECORDS = {
     "IndicatorTerm": lambda: IndicatorTerm(Fraction(1, 2), PartialPermutation(3, [1], [2])),
     "Statistic": lambda: builtin("maj", 4).explicit(),
     "PatternStatistic": lambda: builtin("exc", 4),
-    "ClassFunction": lambda: symmetrize(builtin("exc", 4)),
     "PolynomialityReport": lambda: coefficient_polynomiality(
         PartialPermutation(2, (1,), (2,)), (1,), range(4, 7)),
     "CharacterTable": lambda: character_table(5),
 }
-UNHASHABLE = {"ClassFunction", "CharacterTable"}  # they hold mappings
+UNHASHABLE = {"CharacterTable"}  # it holds mappings
 
 
 @pytest.mark.parametrize("name", RECORDS)

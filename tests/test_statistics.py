@@ -9,8 +9,12 @@ from itertools import combinations
 
 import pytest
 
+import pathmn.ribbons
 import pathmn.statistics
+import pathmn.symfunc
 from pathmn import (
+    POWER,
+    SCHUR,
     GuardError,
     IndicatorTerm,
     ParseError,
@@ -34,6 +38,7 @@ from pathmn import (
     variance_on_class,
     z_mu,
 )
+from pathmn.ribbons import _shape
 from brute import all_perms, class_averages, cycle_type_of, des_of, exc_of, maj_of, merge_pairs
 
 
@@ -952,26 +957,42 @@ def test_maj_squared_class_averages():
 
 
 def test_class_eval_converts_nothing_per_class(monkeypatch):
-    # a class function is its integer numerators on masks, also one built by
-    # hand: symmetrizing and reading values decode no mask to a shape
+    # a class function is the integer numerators of its Schur expansion on
+    # masks: symmetrizing and reading values decode no mask to a shape, and a
+    # write decodes each term once
+    clear_caches()
     shapes = []
-    decode = SymExpansion._from_masks.__func__
-    monkeypatch.setattr(SymExpansion, "_from_masks",
-                        classmethod(lambda cls, n, terms: shapes.append(terms) or decode(cls, n, terms)))
-    pairs = []
+
+    def counting_shape(m):
+        shapes.append(m)
+        return _shape(m)
+
+    monkeypatch.setattr(pathmn.ribbons, "_shape", counting_shape)
+    monkeypatch.setattr(pathmn.symfunc, "_shape", counting_shape)
+    cfs = []
     for name in ("exc", "maj"):
         for n in range(1, 9):
             f = builtin(name, n)
-            cf = symmetrize(stat_product(f, f))
-            by_hand = pathmn.statistics.ClassFunction(n, cf.den, dict(cf.nums))
-            assert by_hand == cf
-            pairs.append((cf, by_hand))
-    for cf, by_hand in pairs:
-        for mu in partitions_of(cf.n):
-            assert class_eval(by_hand, mu) == class_eval(cf, mu)
+            cfs.append(symmetrize(stat_product(f, f)))
+    values = [[class_eval(cf, mu) for mu in partitions_of(cf.degree)] for cf in cfs]
     assert shapes == []
-    # reading .schur decodes once per read
-    assert pairs[-1][1].schur == pairs[-1][0].schur and len(shapes) == 2
+    cf = cfs[-1]
+    for write in (cf.render, cf.to_json, cf.to_csv):
+        shapes.clear()
+        write()
+        assert sorted(shapes) == sorted(cf.nums)
+    # one built by hand from its terms is == and has the same values
+    by_hand = SymExpansion(SCHUR, cf.degree, cf.terms)
+    assert by_hand == cf and by_hand.to_json() == cf.to_json()
+    assert [class_eval(by_hand, mu) for mu in partitions_of(cf.degree)] == values[-1]
+
+
+def test_class_eval_needs_a_schur_expansion_of_the_class_degree():
+    cf = symmetrize(builtin("exc", 4))
+    assert class_eval(cf, (2, 2)) == class_eval(SymExpansion(SCHUR, 4, cf.terms), (2, 2))
+    for bad, mu in [(cf, (2, 1)), (SymExpansion(POWER, 4, {(2, 2): 1}), (2, 2))]:
+        with pytest.raises(ParseError, match="need a Schur expansion of degree"):
+            class_eval(bad, mu)
 
 
 def test_relabelled_statistics_give_equal_class_functions():

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import math
+import pickle
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -14,6 +16,7 @@ from pathmn import (
     ParseError,
     SymExpansion,
     atomic_schur,
+    builtin,
     clear_caches,
     enumerate_monotonic,
     enumerate_set_partitions,
@@ -29,8 +32,10 @@ from pathmn import (
     skew_mn,
     stable_expansion,
     symfunc,
+    symmetrize,
     tiling_tally,
 )
+from pathmn.errors import _SPLIT_BITS, _int_decimal
 from pathmn.errors import int_text as _int_text
 from pathmn.ribbons import _shape, _stable_terms
 from pathmn.symfunc import _SHARED_BITS, _ints_text
@@ -393,3 +398,46 @@ def test_expansions_from_masks_equal_validated_ones(n):
         trusted = stable_expansion(mu, n)
         assert trusted == SymExpansion(SCHUR, n, {_shape(m): c for m, c in terms.items()})
         assert all(type(c) is Fraction for c in trusted.terms.values())
+
+
+def test_int_text_is_the_decimal_text_at_and_past_the_split():
+    # below _SPLIT_BITS bits int_text is str(v); past it a binary split in
+    # Decimal arithmetic, the same digits whatever the interpreter's limit
+    S = _SPLIT_BITS
+    values = [0, 7, 2**S - 1, 2**S, 2**S + 1, 2**(2 * S) + 1, 2**(3 * S + 5) - 2**S,
+              10**20000, 3**40000, math.factorial(15000)]
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    for limit in ([4300, 0] if set_limit else [None]):
+        if limit is not None:
+            old = sys.get_int_max_str_digits()
+            set_limit(limit)
+        try:
+            for v in values + [-v for v in values]:
+                assert _int_text(v) == str(Decimal(v)), (limit, v.bit_length())
+            assert all(_int_decimal(v) == Decimal(v) for v in values)
+        finally:
+            if limit is not None:
+                set_limit(old)
+
+
+def test_shared_expansions_are_read_only():
+    # atomic_schur hands out its memo's dict and symmetrize its memo's result:
+    # no write may reach a later answer
+    clear_caches()
+    pp = parse_pp("1,2,4 -> 2,3,5", 8)
+    for make in (lambda: atomic_schur(pp), lambda: symmetrize(builtin("maj", 6))):
+        e = make()
+        before = dict(e.nums)
+        mask = next(iter(e.nums))
+        with pytest.raises(TypeError):
+            e.nums[mask] = 0
+        with pytest.raises(TypeError):
+            del e.nums[mask]
+        for field in ("basis", "degree", "den", "nums", "terms"):
+            with pytest.raises(AttributeError):
+                setattr(e, field, getattr(e, field))
+        again = make()
+        assert again == e and dict(again.nums) == before
+        # the view cannot be pickled, the expansion can
+        for copied in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+            assert copied == e and copied.nums is not e.nums
