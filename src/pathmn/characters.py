@@ -49,10 +49,11 @@ def _atomic_from_type(core, nu, n) -> dict:
 
     The path factor is evaluated through the frozen-tiling stable formula
     (the size-1 paths are absorbed into the padding), then one ribbon of
-    each cycle part is added, largest first.
+    each cycle part is added, largest first, to its small terms: the chain
+    is linear, so its factorial prefactor multiplies each result once.
     """
-    path = _stable_terms(core, n - sum(nu))
-    return _ribbon_chains(path, sorted(nu, reverse=True))
+    path, prefactor = _stable_terms(core, n - sum(nu))
+    return {m: prefactor * c for m, c in _ribbon_chains(path, sorted(nu, reverse=True)).items()}
 
 
 def atomic_schur(pp: PartialPermutation) -> SymExpansion:
@@ -68,11 +69,11 @@ def char_eval(lam, pp: PartialPermutation) -> int:
         raise ParseError(f"|lam| = {sum(lam)} but ambient size is {pp.n}")
     core, nu = _graph_type(pp.pairs())
     size = pp.n - sum(nu)
-    path = _stable_terms(core, size)
-    # the path factor holds (size) with coefficient (size - edges)! > 0: the shape inside all is a row
+    path, prefactor = _stable_terms(core, size)
+    # the path factor holds (size) with a coefficient > 0: the shape inside all is a row
     floor = (min(m.bit_length() - m.bit_count() for m in path),) if size else ()
     inner = _ribbon_chains({_mask(lam): 1}, [-r for r in nu], floor)
-    return sum(c * path.get(m, 0) for m, c in inner.items())
+    return prefactor * sum(c * path.get(m, 0) for m, c in inner.items())
 
 
 def char_eval_direct(lam, pp: PartialPermutation) -> int:

@@ -17,6 +17,7 @@ __all__ = ["ParseError", "GuardError", "OracleMismatch", "effective_limit", "che
 
 # 4214 digits, under CPython's default 4300-digit int<->str limit: int_text keeps str(v) below it
 _SPLIT_BITS = 14_000
+_SPLIT_DIGITS = 4000  # read_int reads at most this many digits with int(text)
 
 
 class ParseError(ValueError):
@@ -38,12 +39,35 @@ def read_int(text, what="value", size=True) -> int:
     if type(text) is not str or not (text.isascii() and text.removeprefix("-").isdigit()):
         raise ParseError(f"{what} must be an integer, got {text!r}")
     try:
-        value = int(text)
-    except ValueError:  # past the interpreter's digit limit; Decimal has none
+        value = int(text) if len(text) <= _SPLIT_DIGITS else _split_int(text)
+    except ValueError:  # a digit limit set below the default; Decimal has none
         value = int(Decimal(text))
     if size and not -sys.maxsize - 1 <= value <= sys.maxsize:
         raise ParseError(f"{what} must fit an index-sized int, got {text}")
     return value
+
+
+def _split_int(text: str) -> int:
+    """int(text) for -?[0-9]+ longer than _SPLIT_DIGITS, exactly. int(str)
+    takes time quadratic in the digits, so the text is split as hi·10^k + lo,
+    k = _SPLIT_DIGITS·2^j, down to pieces that read_int reads whole, and the
+    halves are joined by int products, which are subquadratic. The route is
+    chosen by length, which no setting of the interpreter's limit moves."""
+    digits = text.removeprefix("-")
+    powers = [10 ** _SPLIT_DIGITS]  # 10^(_SPLIT_DIGITS·2^j) at index j
+    while _SPLIT_DIGITS << len(powers) < len(digits):
+        powers.append(powers[-1] * powers[-1])
+
+    def join(piece, j):  # len(piece) <= _SPLIT_DIGITS·2^(j + 1)
+        if len(piece) <= _SPLIT_DIGITS:
+            return read_int(piece, size=False)
+        k = _SPLIT_DIGITS << j
+        if len(piece) <= k:
+            return join(piece, j - 1)
+        return join(piece[:-k], j - 1) * powers[j] + join(piece[-k:], j - 1)
+
+    value = join(digits, len(powers) - 1)
+    return -value if text[0] == "-" else value
 
 
 def int_text(v: int) -> str:

@@ -19,7 +19,9 @@ refuses a step that leaves over _MAX_SHAPES shapes, and the tiling walk
 enumerate_monotonic past _MAX_NODES nodes. PATHMN_MAX_N replaces both.
 Both are loops (the walk keeps a stack of candidate iterators), so no part
 takes a stack frame. Path power sums walk only the frozen prefixes of their core
-(parts >= 2), once for every n (_frozen_prefixes), so that walk is counted once.
+(parts >= 2), once for every n (_frozen_prefixes), so that walk is counted once;
+at n their expansion is small ints times one prefactor m(mu)!·(n - |mu|)!, so a
+chain run on it carries no factorial, and the factorials of the last n are kept.
 """
 
 import math
@@ -56,6 +58,7 @@ __all__ = [
 _MAX_SHAPES = 5604  # p(30), all of p_{1^30}: p-expand 1^30 takes 0.4 s, 1^40 (37338) 2.4 s
 _MAX_NODES = 100_000  # about 1.3 s of walking; path-expand 4,4,3,3,2,2,1,1 --show-tilings visits 52,074
 _MAX_STEPS = 1 << 13  # table 20 steps 5632 distinct inputs; at n = 1200 a step holds ~1.5 kB
+_MAX_FACTORIALS = 64  # (n - |mu|)! of the last few n; at n = 1200 one is 10,000 bits
 
 _MEMOS = []  # every memo in the package; this module sits below all that hold one
 
@@ -337,23 +340,30 @@ def stable_expansion(mu, n: int):
     """
     from pathmn.symfunc import SCHUR, SymExpansion
 
-    return SymExpansion._trusted(SCHUR, n, 1, _stable_terms(_check_stable_mu(mu, n), n))
+    terms, prefactor = _stable_terms(_check_stable_mu(mu, n), n)
+    return SymExpansion._trusted(SCHUR, n, 1, {m: prefactor * c for m, c in terms.items()})
 
 
-def _stable_terms(mu, n: int) -> dict:
-    """stable_expansion as {mask: int}, for a mu that passed _check_stable_mu.
+@memo(maxsize=_MAX_FACTORIALS)
+def _factorial(k) -> int:
+    """k!: the (n - |mu|)! of one n recurs in every expansion at that n."""
+    return math.factorial(k)
+
+
+def _stable_terms(mu, n: int) -> tuple:
+    """stable_expansion as (terms, prefactor), for a mu that passed _check_stable_mu:
+    the expansion is prefactor = m(mu)!·(n - |mu|)! times the small ints {mask: int}.
 
     With rest of the ones left unplaced, a prefix's tropical orders number
     multinomial(s + rest; counts, rest) = multinomial(s; counts) * C(s + rest, rest).
     """
     ones = n - sum(mu)
-    prefactor = mult_factorial(mu) * math.factorial(ones)
     terms = {}
     for m, cells, s, placed, w in _frozen_prefixes(mu, min(ones, sum(mu) - 2 * len(mu))):
         rest = ones - placed
         sigma = _extend_first_row(m, cells + rest)
         terms[sigma] = terms.get(sigma, 0) + w * math.comb(s + rest, rest)
-    return {sigma: prefactor * c for sigma, c in terms.items() if c}
+    return {sigma: c for sigma, c in terms.items() if c}, mult_factorial(mu) * _factorial(ones)
 
 
 @memo

@@ -11,7 +11,9 @@ prints itself in each output format, render(), to_json() and to_csv(), in time
 linear in the text: the shared factor of its integers is converted to decimal
 once (a small memo keeps it for the other expansions of one n) and each distinct
 quotient once, the rest through errors.int_text, and to_json writes its JSON
-without json.dumps. from_json reads the integers back through errors.read_int.
+without json.dumps. The writers order the terms by mask, padded to degree
+beads, and write each shape from its mask's parts text, kept in a bounded memo,
+so they build no partition. from_json reads the integers back through errors.read_int.
 """
 
 import csv
@@ -26,7 +28,6 @@ from pathmn.partitions import (
     check_composition,
     check_partition,
     enumerate_set_partitions,
-    format_partition,
     is_partition,
 )
 # add_ribbons is unused here but stays bound: perfbench's tracer test looks for it
@@ -59,12 +60,20 @@ MINUS = "−"
 # Below this size of common factor, converting each value is as fast
 # (break-even measured between 1500 and 2000 bits on CPython 3.10-3.13).
 _SHARED_BITS = 2048
+_MAX_PARTS_TEXTS = 1 << 10  # shapes written: 2400 requests at n <= 1200 write 469 distinct ones
 
 
 @memo(maxsize=64)
 def _decimal(g) -> Decimal:
     """Decimal(g): the shared factor of one n recurs in many expansions."""
     return _int_decimal(g)
+
+
+@memo(maxsize=_MAX_PARTS_TEXTS)
+def _parts_text(m) -> str:
+    """The parts of the partition with mask m, comma-separated ("" for the empty one):
+    the writers write a shape from the text of its mask, decoded once."""
+    return ",".join(map(str, _shape(m)))
 
 
 def _ints_text(values) -> list:
@@ -137,13 +146,7 @@ class SymExpansion:
 
     def items(self):
         """Terms in canonical (descending lexicographic) partition order."""
-        return [(lam, Fraction(num, den)) for lam, num, den in self._rows()]
-
-    def _rows(self) -> list:
-        """(partition, num, den) per term in the order of items(), in lowest terms, no Fraction built."""
-        den = self.den
-        return [(lam, v // g, den // g) if den > 1 and (g := math.gcd(v, den)) > 1 else (lam, v, den)
-                for lam, v in sorted(((_shape(m), v) for m, v in self.nums.items()), reverse=True)]
+        return sorted(((_shape(m), Fraction(v, self.den)) for m, v in self.nums.items()), reverse=True)
 
     def __eq__(self, other):
         return isinstance(other, SymExpansion) and vars(self) == vars(other)
@@ -172,17 +175,26 @@ class SymExpansion:
         return _reduced(self.basis, self.degree, self.den * c.denominator,
                         {m: v * c.numerator for m, v in self.nums.items()})
 
+    def _written(self) -> list:
+        """(parts text, num, den text) per term in the order of items(), in lowest terms:
+        sorted by the mask padded to degree beads, which orders as the partitions do."""
+        den, degree, den_text = self.den, self.degree, int_text(self.den)
+        return [(_parts_text(m), v // g, int_text(den // g)) if den > 1 and (g := math.gcd(v, den)) > 1
+                else (_parts_text(m), v, den_text)
+                for m, v in sorted(self.nums.items(), key=lambda t: t[0] << (degree - t[0].bit_count()),
+                                   reverse=True)]
+
     def render(self, long=False) -> str:
         """Human format, e.g. "(5/2)·s[6] − (1/2)·s[5,1]" and "1·s[]"."""
         sym = _SYMBOL[self.basis]
         if not self.nums:
             return "0"
-        rows = self._rows()
+        rows = self._written()
         pieces = []
-        for (lam, num, den), coeff in zip(rows, _ints_text([abs(num) for _, num, _ in rows])):
-            if den != 1:
-                coeff = f"({coeff}/{int_text(den)})"
-            pieces.append((num < 0, f"{coeff}{DOT}{sym}{format_partition(lam)}"))
+        for (parts, num, den), coeff in zip(rows, _ints_text([abs(num) for _, num, _ in rows])):
+            if den != "1":
+                coeff = f"({coeff}/{den})"
+            pieces.append((num < 0, f"{coeff}{DOT}{sym}[{parts}]"))
         if long:
             return "\n".join((MINUS if neg else "") + body for neg, body in pieces)
         out = [(MINUS if pieces[0][0] else "") + pieces[0][1]]
@@ -197,23 +209,22 @@ class SymExpansion:
     def to_json(self) -> str:
         """{"basis", "degree", "terms"}, each term {"partition": [...], "num":
         "...", "den": "..."}, byte for byte as json.dumps writes them."""
-        rows = self._rows()
+        rows = self._written()
         terms = [
-            '{"partition": [' + ", ".join(map(str, lam)) + '], "num": "' + text
-            + '", "den": "' + int_text(den) + '"}'
-            for (lam, _, den), text in zip(rows, _ints_text([num for _, num, _ in rows]))
+            '{"partition": [' + parts.replace(",", ", ") + '], "num": "' + text + '", "den": "' + den + '"}'
+            for (parts, _, den), text in zip(rows, _ints_text([num for _, num, _ in rows]))
         ]
         return ('{"basis": "' + self.basis + '", "degree": ' + int_text(self.degree)
                 + ', "terms": [' + ", ".join(terms) + "]}")
 
     def to_csv(self) -> str:
         """A "partition,num,den" header, then one row per term; ends in a newline."""
-        rows = self._rows()
+        rows = self._written()
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["partition", "num", "den"])
-        for (lam, _, den), text in zip(rows, _ints_text([num for _, num, _ in rows])):
-            writer.writerow([format_partition(lam), text, int_text(den)])
+        for (parts, _, den), text in zip(rows, _ints_text([num for _, num, _ in rows])):
+            writer.writerow(["[" + parts + "]", text, den])
         return buf.getvalue()
 
     @classmethod
@@ -307,5 +318,5 @@ def path_power_to_schur(mu) -> SymExpansion:
     parts >= 2) at degree |mu|, with the singletons as the padding. It equals m(mu)!
     times the signed tally of monotonic tilings of mu by shape (tested)."""
     mu = check_partition(tuple(sorted(mu, reverse=True)))
-    terms = _stable_terms(tuple(p for p in mu if p > 1), sum(mu))
-    return SymExpansion(SCHUR, sum(mu), {_shape(m): c for m, c in terms.items()})
+    terms, prefactor = _stable_terms(tuple(p for p in mu if p > 1), sum(mu))
+    return SymExpansion(SCHUR, sum(mu), {_shape(m): prefactor * c for m, c in terms.items()})

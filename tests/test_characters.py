@@ -164,7 +164,7 @@ def test_char_eval_floor_is_one_row(monkeypatch):
         for n in [*range(packed.n, 10), 1200]:
             pp = embed(packed, n)
             core, nu = _graph_type(pp.pairs())
-            path = _stable_terms(core, n - sum(nu))
+            path, _ = _stable_terms(core, n - sum(nu))
             floors.clear()
             char_eval((n,) if n else (), pp)
             assert floors == [tuple(map(min, zip(*map(_shape, path))))]

@@ -1,12 +1,14 @@
 """Property tests on seeded random partial permutations (Hypothesis, derandomized)."""
 
+import csv
+import io
 import json
 import math
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathmn import (
@@ -20,8 +22,10 @@ from pathmn import (
     atomic_schur,
     brute_atomic,
     char_eval,
+    clear_caches,
     decompose,
     embed,
+    format_partition,
     make_statistic,
     pack,
     partitions_of,
@@ -30,6 +34,7 @@ from pathmn import (
     symmetrize,
 )
 from pathmn.errors import ParseError, int_text, read_int
+from pathmn.ribbons import _shape
 from brute import components_type
 
 # the same examples on every run, none saved to disk, so tier-1 stays deterministic
@@ -175,10 +180,10 @@ _SCALES = (1, math.factorial(1150), 10**5000)
 
 
 @st.composite
-def expansions(draw):
+def expansions(draw, max_degree=6, max_terms=6):
     basis = draw(st.sampled_from([SCHUR, POWER, PATH]))
-    degree = draw(st.integers(0, 6))
-    shapes = draw(st.lists(st.sampled_from(list(partitions_of(degree))), unique=True, max_size=6))
+    degree = draw(st.integers(0, max_degree))
+    shapes = draw(st.lists(st.sampled_from(list(partitions_of(degree))), unique=True, max_size=max_terms))
     scale = draw(st.sampled_from(_SCALES))
     nums = st.integers(-60, 60).filter(bool)
     dens = st.integers(1, 12)
@@ -207,3 +212,62 @@ def test_json_text_is_what_json_dumps_writes(e):
         assert SymExpansion.from_json(e.to_json()) == e
     finally:
         set_limit(old)
+
+
+def _reference_rows(e):
+    """(partition, Fraction) per term: each mask decoded, the tuples sorted descending."""
+    return sorted(((_shape(m), Fraction(v, e.den)) for m, v in e.nums.items()), reverse=True)
+
+
+def _reference_render(e, long=False):
+    if not e.nums:
+        return "0"
+    sym = {SCHUR: "s", POWER: "p", PATH: "P"}[e.basis]
+    pieces = []
+    for lam, c in _reference_rows(e):
+        coeff = int_text(abs(c.numerator))
+        if c.denominator != 1:
+            coeff = f"({coeff}/{int_text(c.denominator)})"
+        pieces.append((c < 0, f"{coeff}·{sym}{format_partition(lam)}"))
+    if long:
+        return "\n".join(("−" if neg else "") + body for neg, body in pieces)
+    out = ("−" if pieces[0][0] else "") + pieces[0][1]
+    return out + "".join((" − " if neg else " + ") + body for neg, body in pieces[1:])
+
+
+def _reference_json(e):
+    terms = [{"partition": list(lam), "num": int_text(c.numerator), "den": int_text(c.denominator)}
+             for lam, c in _reference_rows(e)]
+    return json.dumps({"basis": e.basis, "degree": e.degree, "terms": terms})
+
+
+def _reference_csv(e):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["partition", "num", "den"])
+    for lam, c in _reference_rows(e):
+        writer.writerow([format_partition(lam), int_text(c.numerator), int_text(c.denominator)])
+    return buf.getvalue()
+
+
+@SEEDED
+@given(expansions(max_degree=12, max_terms=20))
+@example(SymExpansion(PATH, 0, {(): Fraction(-3, 2)}))
+@example(SymExpansion(SCHUR, 0, {}))
+def test_writers_match_a_reference_that_sorts_decoded_partitions(e):
+    # the writers sort by padded mask and write each shape from its mask's text;
+    # the reference decodes every term, sorts the tuples and formats each one
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    old = sys.get_int_max_str_digits() if set_limit else None
+    if set_limit:
+        set_limit(4300)
+    clear_caches()
+    try:
+        for _ in range(2):  # from a cold text memo, then a warm one
+            assert e.render() == _reference_render(e)
+            assert e.render(long=True) == _reference_render(e, long=True)
+            assert e.to_json() == _reference_json(e)
+            assert e.to_csv() == _reference_csv(e)
+    finally:
+        if set_limit:
+            set_limit(old)

@@ -508,10 +508,16 @@ def _stable_terms_per_prefix(mu, n):
 
 
 def test_stable_terms_match_the_per_prefix_sum():
+    # the small terms times their prefactor m(mu)!·(n - |mu|)! are the expansion;
+    # the terms stay small (a polynomial in n), the factorial is only in the prefactor
     for core in _cores(10):
         ns = list(range(sum(core), sum(core) + _cap(core) + 4)) + [100, 500, 1200]
         for n in ns:
-            assert _stable_terms(core, n) == _stable_terms_per_prefix(core, n), (core, n)
+            terms, prefactor = _stable_terms(core, n)
+            assert prefactor == mult_factorial(core) * math.factorial(n - sum(core))
+            scaled = {m: prefactor * c for m, c in terms.items()}
+            assert scaled == _stable_terms_per_prefix(core, n), (core, n)
+            assert all(c and abs(c).bit_length() < 100 for c in terms.values())
 
 
 def test_a_core_is_walked_once_for_every_n():
@@ -568,8 +574,10 @@ def test_clear_caches_is_safe():
         "pathmn.ribbons._ribbon_step",
         "pathmn.ribbons.tiling_tally",
         "pathmn.ribbons._frozen_prefixes",
+        "pathmn.ribbons._factorial",
         "pathmn.symfunc._p_to_schur",
         "pathmn.symfunc._decimal",
+        "pathmn.symfunc._parts_text",
         "pathmn.characters._atomic_from_type",
         "pathmn.statistics.stat_product",
         "pathmn.statistics.symmetrize",

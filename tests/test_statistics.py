@@ -958,8 +958,8 @@ def test_maj_squared_class_averages():
 
 def test_class_eval_converts_nothing_per_class(monkeypatch):
     # a class function is the integer numerators of its Schur expansion on
-    # masks: symmetrizing and reading values decode no mask to a shape, and a
-    # write decodes each term once
+    # masks: symmetrizing and reading values decode no mask to a shape, a
+    # write decodes each shape at most once, and the same write again none
     clear_caches()
     shapes = []
 
@@ -978,9 +978,13 @@ def test_class_eval_converts_nothing_per_class(monkeypatch):
     assert shapes == []
     cf = cfs[-1]
     for write in (cf.render, cf.to_json, cf.to_csv):
+        clear_caches()
         shapes.clear()
         write()
         assert sorted(shapes) == sorted(cf.nums)
+        shapes.clear()
+        write()
+        assert shapes == []
     # one built by hand from its terms is == and has the same values
     by_hand = SymExpansion(SCHUR, cf.degree, cf.terms)
     assert by_hand == cf and by_hand.to_json() == cf.to_json()

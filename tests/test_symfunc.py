@@ -20,6 +20,7 @@ from pathmn import (
     clear_caches,
     enumerate_monotonic,
     enumerate_set_partitions,
+    format_partition,
     mult_by_power,
     mult_factorial,
     p_in_path_basis,
@@ -35,9 +36,9 @@ from pathmn import (
     symmetrize,
     tiling_tally,
 )
-from pathmn.errors import _SPLIT_BITS, _int_decimal
+from pathmn.errors import _SPLIT_BITS, _SPLIT_DIGITS, _int_decimal, read_int
 from pathmn.errors import int_text as _int_text
-from pathmn.ribbons import _shape, _stable_terms
+from pathmn.ribbons import _mask, _shape, _stable_terms
 from pathmn.symfunc import _SHARED_BITS, _ints_text
 
 
@@ -394,9 +395,9 @@ def test_large_expansions_print_pinned_text(make, render_sha, json_sha, csv_sha)
 @pytest.mark.parametrize("n", [12, 50])
 def test_expansions_from_masks_equal_validated_ones(n):
     for mu in [mu for size in range(9) for mu in partitions_of(size) if 1 not in mu]:
-        terms = _stable_terms(mu, n)
+        terms, prefactor = _stable_terms(mu, n)
         trusted = stable_expansion(mu, n)
-        assert trusted == SymExpansion(SCHUR, n, {_shape(m): c for m, c in terms.items()})
+        assert trusted == SymExpansion(SCHUR, n, {_shape(m): prefactor * c for m, c in terms.items()})
         assert all(type(c) is Fraction for c in trusted.terms.values())
 
 
@@ -418,6 +419,40 @@ def test_int_text_is_the_decimal_text_at_and_past_the_split():
         finally:
             if limit is not None:
                 set_limit(old)
+
+
+def test_read_int_is_int_at_and_past_the_split():
+    # up to _SPLIT_DIGITS digits read_int is int(text); past them a binary split
+    # joined by int products, the same value whatever the interpreter's limit
+    D = _SPLIT_DIGITS
+    texts = ["0", "7", "9" * D, "1" + "0" * D, "9" * (D + 1), "000" + "9" * D, "0" * (D + 3) + "12",
+             "1" * (2 * D), "1" * (2 * D + 1), "5" * (4 * D + 7), _int_text(3**40000), _int_text(math.factorial(15000))]
+    texts += ["-" + t for t in texts]
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        assert all(read_int(t, size=False) == int(t) for t in texts)
+        return
+    old = sys.get_int_max_str_digits()
+    try:
+        set_limit(0)
+        expected = [int(t) for t in texts]
+        for limit in [4300, 0]:
+            set_limit(limit)
+            assert [read_int(t, size=False) for t in texts] == expected, limit
+    finally:
+        set_limit(old)
+
+
+@pytest.mark.parametrize("d", range(21))
+def test_the_padded_mask_orders_as_the_partitions(d):
+    # the writers sort by the mask padded to d beads, m << (d - l(lam)), and
+    # write the terms in the descending partition order that items() decodes
+    shapes = list(partitions_of(d))
+    by_mask = sorted(map(_mask, shapes), key=lambda m: m << (d - m.bit_count()), reverse=True)
+    assert [_shape(m) for m in by_mask] == sorted(shapes, reverse=True)
+    e = SymExpansion(SCHUR, d, dict.fromkeys(shapes, 1))
+    rows = e.to_csv().splitlines()[1:]
+    assert [row.rsplit(",", 2)[0].strip('"') for row in rows] == [format_partition(lam) for lam, _ in e.items()]
 
 
 def test_shared_expansions_are_read_only():
