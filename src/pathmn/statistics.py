@@ -1,35 +1,32 @@
-"""Permutation statistics as indicator combinations, and their symmetrization.
+"""Permutation statistics as tables of patterns, and their symmetrization.
 
-A statistic on S_n is a merged sum of weighted indicators c·1_{I,J}, kept as
-integer numerators over one denominator; the Reynolds operator (average over
-conjugation) sends it to a class function, computed here via the atomic
-expansions of the underlying partial permutations grouped by graph type.
-Moments and variances on a conjugacy class follow by evaluating the resulting
-Schur coefficients against character values.
+A statistic on S_n is one record, Statistic(patterns, den, n): entries (r, Q,
+links, weights, num), each the indicators 1_{alpha(Q)} of the pairs Q on the
+points 1..r, over every increasing map alpha of 1..r into 1..n that keeps the
+links (points sent to adjacent points), times num/den and the product of the
+weighted points' images. A table such as exc (the one pattern 1 -> 2), maj and
+des (8 patterns linked at a descent) does not depend on n. A term c·1_{I,J}
+is the pattern placed on all n points, (n, pairs, (), (), c), whose only
+placement is the identity; explicit() places every entry so.
 
-Products run on bitmasks: a term is its pair, source and target masks, and two
-terms merge iff they share as many pairs as sources and as targets. A square
-visits each unordered pair of terms once. A product is refused before its loop
-past _MAX_VISITS pair visits or merges, and in it past _MAX_TERMS held terms
-or patterns. symmetrize returns a Schur SymExpansion: integers on Maya masks,
-the form class_eval removes ribbons from.
+Every product runs in one loop, _table_product: a pattern becomes its pair,
+source and target masks under each merge of its points with those of the
+other factor's patterns, and two terms merge iff they share as many pairs as
+sources and as targets. Two tables multiply on every number of points when
+that costs little more than on at most n (one table then serves every n),
+unless their terms cost less; any other product places both factors and
+walks the one merge of n points with n points, a pair visit per pair of
+terms. A product is refused before its loop past _MAX_VISITS merges or pair
+visits, and in it past _MAX_TERMS held patterns.
 
-A statistic whose coefficient on 1_{I,J} depends only on the packed pattern Q
-of its pairs, on which of its points are adjacent (links) and on a product of
-some of their positions (weights) is a PatternStatistic: an n-free table (exc
-is the one pattern 1 -> 2; maj and des are 8 patterns linked at a descent).
-Two of them multiply pattern by pattern over the merges of their points, on
-every number of points when that costs little more than on at most n (one
-table then serves every n), and one symmetrizes by the census sum_Q c_Q·W(n;
-Q)·A(type Q, n), W the weighted count of the placements of Q, with no term
-built. Any other statistic, a product that mixes the two and a product of
-two tables whose merges cost more than their terms' pair visits take the
-explicit route above; explicit() builds the terms, and it is the census's
-oracle.
+symmetrize is the census sum_Q c_Q·W(n; Q)·A(type Q, n), W the weighted
+count of the placements of Q (1 for a term) and A the atomic expansion of its
+graph type, with no term built; explicit() is its oracle. It returns a Schur
+SymExpansion: integers on Maya masks, the form class_eval removes ribbons from.
 
 The product and class-function memos keep the 4 results used last, which
-hold what variance_on_class reuses: f, f·f and their class functions; so does
-the memo of pattern tables. Every memo result is read-only.
+hold what variance_on_class reuses: f·f and the class functions of f and f·f.
+Every memo result is read-only.
 """
 
 import json
@@ -49,7 +46,6 @@ from pathmn.symfunc import SCHUR, SymExpansion, _reduced
 
 __all__ = [
     "Statistic",
-    "PatternStatistic",
     "make_statistic",
     "builtin",
     "BUILTINS",
@@ -71,48 +67,20 @@ _MAX_VISITS = 2_000_000
 # with the symmetrization of their terms (maj^2 and des^2 at n = 5..8 break even at 4.4 to 5.5,
 # their cubes at 3 to 5); a merge of unlinked ones, which share each walk, about 1 (exc^m)
 _MERGE_COST = 4
-_MAX_TERMS = 250_000  # a statistic's or a product's terms; maj at n = 80 has 249,640 (0.7 s, 90 MB to build)
+_MAX_TERMS = 250_000  # a statistic's terms or a product's patterns; maj at n = 80 has 249,640 (0.7 s, 90 MB to build)
 
 
 class Statistic(NamedTuple):
-    """Finite combination sum (num/den)·1_{I,J} of indicators on S_n.
-
-    nums holds one (pairs, num) per term: the (i, j) constraints sorted by i
-    and a nonzero int. The terms are sorted and den is in lowest terms with
-    them, so equal statistics are == and hash the same.
-    """
-
-    n: int
-    den: int
-    nums: tuple
-
-    @property
-    def terms(self) -> tuple:
-        """The IndicatorTerms, sorted by (k, I, J)."""
-        return tuple(IndicatorTerm(Fraction(c, self.den), PartialPermutation(self.n, I, J))
-                     for _, I, J, c in self._rows())
-
-    def _rows(self) -> list:
-        """(k, I, J, num) per term, sorted by (k, I, J)."""
-        return sorted((len(p), [i for i, _ in p], [j for _, j in p], c) for p, c in self.nums)
-
-    def explicit(self) -> "Statistic":
-        """This statistic: its terms are built already."""
-        return self
-
-
-class PatternStatistic(NamedTuple):
-    """An order-regular statistic on S_n: sum over patterns Q of num/den times
-    prod alpha(p) over its weights, times 1_{alpha(Q)}, for every increasing
-    map alpha of 1..r into 1..n with alpha(p + 1) = alpha(p) + 1 at each link p.
+    """A statistic on S_n: sum over its entries of num/den times prod alpha(p)
+    over the weights, times 1_{alpha(Q)}, for every increasing map alpha of
+    1..r into 1..n with alpha(p + 1) = alpha(p) + 1 at each link p.
 
     patterns holds one (r, Q, links, weights, num) per entry: Q its pairs
-    sorted by source, on exactly the points 1..r, links a sorted tuple of
-    points p < r, weights a sorted tuple of points (repeats multiply), and a
-    nonzero int; an entry with r > n has no term at n. The table does not
-    depend on n. Its entries are sorted and den is in lowest terms with them;
-    the first field is a tuple, so a PatternStatistic is never == to a
-    Statistic (memo keys).
+    sorted by source, on points of 1..r, links a sorted tuple of points p < r,
+    weights a sorted tuple of points (repeats multiply), and a nonzero int; an
+    entry with r > n has no term at n. A term is an entry (n, pairs, (), (),
+    num). The entries are sorted and den is in lowest terms with them, so
+    equal tables, and equal statistics of terms, are == and hash the same.
     """
 
     patterns: tuple
@@ -122,13 +90,23 @@ class PatternStatistic(NamedTuple):
     @property
     def terms(self) -> tuple:
         """The IndicatorTerms of explicit(), sorted by (k, I, J)."""
-        return self.explicit().terms
+        f = self.explicit()
+        return tuple(IndicatorTerm(Fraction(c, f.den), PartialPermutation(f.n, I, J)) for _, I, J, c in f._rows())
+
+    def _rows(self) -> list:
+        """(k, I, J, num) per term of a statistic of terms, sorted by (k, I, J)."""
+        return sorted((len(Q), [i for i, _ in Q], [j for _, j in Q], c) for _, Q, _, _, c in self.patterns)
+
+    def explicit(self) -> "Statistic":
+        """The same statistic term by term: itself when every entry is a term,
+        else the placements of its patterns."""
+        return self if _placed(self) else self._place()
 
     @memo(maxsize=1)
-    def explicit(self) -> Statistic:
-        """The same statistic term by term: the placements of each pattern,
-        counted first and refused past _MAX_TERMS unbuilt; the last one built
-        is kept, for eval_pointwise over many permutations."""
+    def _place(self) -> "Statistic":
+        """The placements of each pattern, counted first and refused past
+        _MAX_TERMS unbuilt; the last one built is kept, for eval_pointwise
+        over many permutations."""
         n = self.n
         check_guard(sum(_weight(n, r, links, ()) for r, _, links, _, _ in self.patterns), _MAX_TERMS,
                     "statistic terms")
@@ -144,10 +122,15 @@ class PatternStatistic(NamedTuple):
         return _statistic(n, self.den, acc)
 
 
+def _placed(f: Statistic) -> bool:
+    """Whether every entry of f is a term: on all n points, with no links or weights."""
+    return all(r == f.n and not links and not weights for r, _, links, weights, _ in f.patterns)
+
+
 def _statistic(n: int, den: int, acc) -> Statistic:
-    """sum (num/den)·1_pairs over a {pairs: num} dict, zeros dropped, reduced."""
+    """The terms sum (num/den)·1_pairs of a {pairs: num} dict, zeros dropped, reduced."""
     g = math.gcd(den, *acc.values())
-    return Statistic(n, den // g, tuple(sorted((p, c // g) for p, c in acc.items() if c)))
+    return Statistic(tuple((n, p, (), (), c // g) for p, c in sorted(acc.items()) if c), den // g, n)
 
 
 def make_statistic(n: int, terms) -> Statistic:
@@ -161,9 +144,9 @@ def make_statistic(n: int, terms) -> Statistic:
     return _statistic(n, den, {p: c.numerator * (den // c.denominator) for p, c in merged.items()})
 
 
-def builtin(name: str, n: int) -> PatternStatistic:
+def builtin(name: str, n: int) -> Statistic:
     """The built-in statistics: "exc" (exceedances), "maj" (major index) and
-    "des" (descents), each an n-free PatternStatistic.
+    "des" (descents), each an n-free table.
 
     exc is the one pattern 1 -> 2. A descent at position a is a value pair
     b < d with a -> d and a + 1 -> b: the 8 patterns of ((a, d), (a + 1, b))
@@ -174,36 +157,28 @@ def builtin(name: str, n: int) -> PatternStatistic:
     if name not in BUILTINS:
         raise ParseError(f"unknown builtin statistic {name!r}")
     if name == "exc":
-        return PatternStatistic(((2, ((1, 2),), (), (), 1),), 1, n)
-    return PatternStatistic(tuple(sorted(
+        return Statistic(((2, ((1, 2),), (), (), 1),), 1, n)
+    return Statistic(tuple(sorted(
         (len(points), ((a, d), (a + 1, b)), (a,), (a,) * (name == "maj"), 1)
         for a in range(1, 4) for b, d in combinations(range(1, 5), 2)
         if (points := {a, a + 1, b, d}) == set(range(1, len(points) + 1)))), 1, n)
 
 
-@memo(maxsize=4)
 def stat_product(f, g):
-    """Pointwise product: of two PatternStatistics by _table_product when
-    its merges cost less than the pair visits of their terms, none built, or
-    only the merges fit the guard; of anything else, and of two such tables
-    past that, by pairwise indicator merging of the explicit terms. The table
-    is built on every number of points, so that it serves every n, when that
-    walks at most half again as many merges as on at most n points.
-
-    Each term becomes three masks once: its pairs (bit i·(n+1)+j), its sources
-    and its targets. Two injective terms merge iff they share as many pairs as
-    sources and as targets, since then every shared source and target belongs
-    to a shared pair; the merged term is the union of the pair masks. A square
-    (f == g) visits each unordered pair of terms once and doubles the products
-    off the diagonal. Numerators add up over the product of the denominators;
-    each distinct merged mask is decoded once, low bit first, so its pairs come
-    out sorted. Refused before the loop past _MAX_VISITS merges or pair visits,
-    on the smaller count when both pass it, and after any outer term that
-    leaves more than _MAX_TERMS terms held (memory).
+    """Pointwise product, by _table_product. Two tables (not every entry a
+    term) multiply pattern by pattern when their merges cost less than the
+    pair visits of their terms, none built, or only the merges fit the guard;
+    the table is built on every number of points, so that it serves every n,
+    when that walks at most half again as many merges as on at most n points.
+    Any other product places both factors (explicit()) and merges them on
+    n points, where a term's one merge is the identity: each pair of terms is
+    one pair visit, and a square (equal entries) visits each unordered pair
+    once. Refused before the loop past _MAX_VISITS merges or pair visits, on
+    the smaller count when both pass it.
     """
     if f.n != g.n:
         raise ParseError(f"ambient sizes differ: {f.n} vs {g.n}")
-    if type(f) is type(g) is PatternStatistic:
+    if not (_placed(f) or _placed(g)):
         counts, limit = _merge_counts(f.patterns, g.patterns), effective_limit(_MAX_VISITS)
         merges, cap = sum(counts[:f.n + 1]), f.n
         if 2 * sum(counts) <= 3 * merges and sum(counts) <= limit:  # one table serves every n
@@ -213,62 +188,17 @@ def stat_product(f, g):
         cost = merges * (_MERGE_COST if any(p[2] for p in f.patterns + g.patterns) else 1)
         # near n a pattern has few placements, and its terms are the cheaper route
         if merges <= limit and (cost <= visits or visits > limit):
-            return PatternStatistic(*_table_product(f.patterns, f.den, g.patterns, g.den, cap), f.n)
+            return Statistic(*_table_product(f.patterns, f.den, g.patterns, g.den, cap), f.n)
         if limit < merges <= visits:
             raise refusal("statistic product interleavings", merges, limit)
     f, g = f.explicit(), g.explicit()
-    square = f == g
-    visits = len(f.nums) * (len(f.nums) + 1) // 2 if square else len(f.nums) * len(g.nums)
-    check_guard(visits, _MAX_VISITS, "statistic product pair visits")
-    limit = effective_limit(_MAX_TERMS)
-    pair_at = {}
-    a = _term_masks(f, pair_at)
-    b = a if square else _term_masks(g, pair_at)
-    acc = {}
-    for t, (P, D, R, ca) in enumerate(a):
-        if square:
-            acc[P] = acc.get(P, 0) + ca * ca
-            ca, rest = 2 * ca, a[t + 1:]
-        else:
-            rest = b
-        for Q, E, T, cb in rest:
-            if (P & Q).bit_count() == (D & E).bit_count() == (R & T).bit_count():
-                key = P | Q
-                acc[key] = acc.get(key, 0) + ca * cb
-        if len(acc) > limit:
-            raise refusal("statistic product terms", len(acc), limit)
-    return _statistic(f.n, f.den * g.den, {_pairs(m, pair_at): c for m, c in acc.items() if c})
+    a, b = len(f.patterns), len(g.patterns)
+    check_guard(a * (a + 1) // 2 if f.patterns == g.patterns else a * b, _MAX_VISITS,
+                "statistic product pair visits")
+    return Statistic(*_table_product(f.patterns, f.den, g.patterns, g.den, f.n), f.n)
 
 
-def _term_masks(f: Statistic, pair_at: dict) -> list:
-    """(pair mask, source mask, target mask, num) per term of f; pair_at maps
-    each pair's bit to the pair tuple itself, so decoded terms share it."""
-    width = f.n + 1
-    out = []
-    for pairs, c in f.nums:
-        P = D = R = 0
-        for pair in pairs:
-            i, j = pair
-            bit = 1 << (i * width + j)
-            pair_at[bit] = pair
-            P |= bit
-            D |= 1 << i
-            R |= 1 << j
-        out.append((P, D, R, c))
-    return out
-
-
-def _pairs(m: int, pair_at: dict) -> tuple:
-    """The pairs of pair mask m, sorted by i: its bits read from low to high."""
-    out = []
-    while m:
-        bit = m & -m
-        out.append(pair_at[bit])
-        m ^= bit
-    return tuple(out)
-
-
-def _placements(f: PatternStatistic) -> int:
+def _placements(f: Statistic) -> int:
     """At least as many as the terms of f.explicit(), none built: the
     placements of its patterns, those that differ only in weights once."""
     return sum(_weight(f.n, r, links, ()) for r, _, links in {p[:3] for p in f.patterns})
@@ -280,60 +210,110 @@ def _table_product(f_patterns, f_den, g_patterns, g_den, cap) -> tuple:
     term of R is the term of their union, so each merge of their points onto
     t <= cap points whose union is injective gives one pattern on 1..t, with
     the links and weights of both factors carried along; a pattern on more
-    points than the ambient n has no term there. The images are masks,
-    merged as stat_product merges terms, and each distinct union is decoded
-    once. Refused after any pattern of g that leaves more than _MAX_TERMS
-    patterns held (memory). Kept per pair of tables and cap, so a table on
-    every number of points serves every n."""
-    # (r, links, weights) -> [(index, Q, num)] of f; (r, links, s, links) -> {(t, alpha): betas};
-    # the held patterns, (t, links as a mask of points, weights) -> {pair mask: num}
-    groups, merges, square, acc = {}, {}, f_patterns == g_patterns, {}
-    for i, (r, Q, links, weights, a) in enumerate(f_patterns):
-        groups.setdefault((r, links, weights), []).append((i, Q, a))
-    limit = effective_limit(_MAX_TERMS)
-    for j, (s, R, links_b, weights_b, b) in enumerate(g_patterns):
-        for (r, links_a, weights_a), group in groups.items():
-            # a square takes each unordered pair of patterns once, twice off the diagonal
-            pairs = [(Q, a * b * (1 + (square and i < j))) for i, Q, a in group if not square or i <= j]
-            if not pairs:
-                continue
-            walk = (r, links_a, s, links_b)
-            if walk not in merges:
-                merges[walk] = {}
+    points than the ambient n has no term there. Two terms placed on the same
+    n points have one merge, the identity.
+
+    The images are masks, built once per merge for each factor: a pair's bit
+    is its rank among the distinct pairs of the two factors, and a pair only
+    an image holds, or a point, takes the next bit when first seen, so no
+    mask's width depends on n. Two images merge iff they share as many pairs
+    as sources and as targets, since then every shared source and target
+    belongs to a shared pair. A square (equal entries) takes each unordered
+    pair of patterns once and doubles the products off the diagonal. Each
+    distinct union is decoded once, low bit first: in order when every pair
+    is ranked (two statistics of terms), else sorted. Refused after any
+    pattern of g, at any merge, that leaves more than _MAX_TERMS patterns
+    held (memory). Kept per pair of tables and cap, so a table on every
+    number of points serves every n."""
+    # (r, links, s, links) -> {(t, alpha): betas}; pair -> its pair, source and target bits, the pairs
+    # of the factors numbered first, in rank order; point -> its bit; the held patterns,
+    # (t, links as a mask of points, weights) -> {pair mask: num}
+    walks, bits, points, acc = {}, {}, {}, {}
+    for pair in sorted({pair for p in f_patterns + g_patterns for pair in p[1]}):
+        _number(pair, bits, points)
+    square = f_patterns == g_patterns
+    limit, held, g_groups = effective_limit(_MAX_TERMS), 0, _groups(g_patterns)
+    for f_key, f_group in (g_groups if square else _groups(f_patterns)).items():
+        for g_key, g_group in g_groups.items():
+            if square and f_group[-1][0] < g_group[0][0]:
+                continue  # a square takes pattern i of f with pattern j <= i of g only
+            walk = (f_key[0], f_key[1], g_key[0], g_key[1])
+            if walk not in walks:
+                walks[walk] = {}
                 for t, alpha, beta in _merges(*walk, cap):
-                    merges[walk].setdefault((t, alpha), []).append(beta)
-            for (t, alpha), betas in merges[walk].items():
-                images = [(*_image(Q, alpha, t + 1), c) for Q, c in pairs]
-                links = sum(1 << alpha[p] for p in links_a)
-                weights = tuple(alpha[p] for p in weights_a)
+                    walks[walk].setdefault((t, alpha), []).append(beta)
+            moved = {}  # beta -> g_group moved there, for this walk
+            for (t, alpha), betas in walks[walk].items():
+                links, weights, placed = _moved(f_group, f_key, alpha, bits, points)
                 for beta in betas:
-                    P2, D2, T2 = _image(R, beta, t + 1)
-                    key = (t, links | sum(1 << beta[q] for q in links_b) if links_b else links,
-                           tuple(sorted(weights + tuple(beta[q] for q in weights_b))) if weights_b else weights)
-                    sums = acc.setdefault(key, {})
-                    for P, D, T, c in images:
-                        if (P & P2).bit_count() == (D & D2).bit_count() == (T & T2).bit_count():
-                            sums[P | P2] = sums.get(P | P2, 0) + c
-        if (held := sum(map(len, acc.values()))) > limit:
-            raise refusal("statistic product patterns", held, limit)
+                    if beta not in moved:
+                        moved[beta] = _moved(g_group, g_key, beta, bits, points)
+                    links2, weights2, images = moved[beta]
+                    sums = acc.setdefault((t, links | links2, tuple(sorted(weights + weights2))), {})
+                    k = 0  # a square takes pattern i of f with pattern j <= i of g, twice off the diagonal
+                    for j, P2, D2, T2, b in images:
+                        while square and k < len(placed) and placed[k][0] < j:
+                            k += 1
+                        twice = 2 * b if square else b
+                        for i, P, D, T, a in placed[k:]:
+                            if (P & P2).bit_count() == (D & D2).bit_count() == (T & T2).bit_count():
+                                if (m := P | P2) in sums:
+                                    sums[m] += a * (twice if i > j else b)
+                                else:
+                                    sums[m], held = a * (twice if i > j else b), held + 1
+                        if held > limit:
+                            raise refusal("statistic product patterns", held, limit)
     den = f_den * g_den
     d = math.gcd(den, *(c for sums in acc.values() for c in sums.values()))
-    pair_at = {t: {1 << k: divmod(k, t + 1) for k in range((t + 1) ** 2)} for t, *_ in acc}  # width t + 1
-    patterns = sorted((t, _pairs(m, pair_at[t]), tuple(p for p in range(t) if links >> p & 1), weights, c // d)
-                      for (t, links, weights), sums in acc.items() for m, c in sums.items() if c)
-    return tuple(patterns), den // d
+    pair_at = {bit: pair for pair, (bit, _, _) in bits.items()}
+    ranked = list(bits) == sorted(bits)
+    patterns = []
+    for (t, links, weights), sums in acc.items():
+        linked = tuple(p for p in range(links.bit_length()) if links >> p & 1)
+        patterns += [(t, _pairs(m, pair_at, ranked), linked, weights, c // d) for m, c in sums.items() if c]
+    return tuple(sorted(patterns)), den // d
 
 
-def _image(Q, alpha, width):
-    """(pair mask, source mask, target mask) of the pairs Q moved by alpha,
-    pair (i, j) at bit i·width + j."""
-    P = D = T = 0
-    for i, j in Q:
-        i, j = alpha[i], alpha[j]
-        P |= 1 << (i * width + j)
-        D |= 1 << i
-        T |= 1 << j
-    return P, D, T
+def _groups(patterns) -> dict:
+    """(r, links, weights) -> [(index, Q, num)] of a table's patterns."""
+    groups = {}
+    for k, (r, Q, links, weights, c) in enumerate(patterns):
+        groups.setdefault((r, links, weights), []).append((k, Q, c))
+    return groups
+
+
+def _moved(group, key, alpha, bits, points) -> tuple:
+    """A group of patterns moved by alpha: its links as a mask of points, its
+    weights, and per pattern (index, pair mask, source mask, target mask, num)."""
+    _, links, weights = key
+    out = []
+    for k, Q, c in group:
+        P = D = T = 0
+        for i, j in Q:
+            pair = (alpha[i], alpha[j])
+            p, s, t = bits.get(pair) or _number(pair, bits, points)
+            P, D, T = P | p, D | s, T | t
+        out.append((k, P, D, T, c))
+    return sum(1 << alpha[p] for p in links), tuple(alpha[p] for p in weights), out
+
+
+def _number(pair, bits, points) -> tuple:
+    """The pair, source and target bits of a new pair: the next pair bit, and
+    each point's bit, the next one for a new point."""
+    i, j = pair
+    bits[pair] = (1 << len(bits), points.setdefault(i, 1 << len(points)), points.setdefault(j, 1 << len(points)))
+    return bits[pair]
+
+
+def _pairs(m: int, pair_at: dict, ranked: bool) -> tuple:
+    """The pairs of pair mask m, sorted by i: read low bit first when the
+    bits are numbered in rank order."""
+    out = []
+    while m:
+        bit = m & -m
+        out.append(pair_at[bit])
+        m ^= bit
+    return tuple(out) if ranked else tuple(sorted(out))
 
 
 def _steps(i, j, r, links_a, s, links_b):
@@ -348,15 +328,24 @@ def _merges(r, links_a, s, links_b, cap):
     """The merges of 1..r and 1..s onto 1..t, t <= cap: pairs of increasing
     maps alpha, beta whose images cover 1..t and keep every link p, alpha(p + 1)
     = alpha(p) + 1, as (t, alpha, beta), the maps read from index 1. With no
-    links these are all the order-preserving interleavings."""
+    links these are all the order-preserving interleavings.
+
+    No node is pushed that cannot finish within cap, and a node whose points
+    left in both factors fill the room left takes them together at once, so
+    two patterns on cap points have one merge, reached in no step."""
     stack = [(0, 0, 0, (0,), (0,))]
     while stack:
         i, j, t, alpha, beta = stack.pop()
-        if i == r and j == s:
+        if r - i == s - j == cap - t:  # only the next point of both can follow, to the end
+            rest = tuple(range(t + 1, cap + 1))
+            yield cap, alpha + rest, beta + rest
+        elif i == r and j == s:
             yield t, alpha, beta
-        elif t < cap:
+        else:
+            room = cap - t - 1  # the steps left after the next one
             for di, dj in _steps(i, j, r, links_a, s, links_b):
-                stack.append((i + di, j + dj, t + 1, alpha + (t + 1,) * di, beta + (t + 1,) * dj))
+                if r - i - di <= room >= s - j - dj:
+                    stack.append((i + di, j + dj, t + 1, alpha + (t + 1,) * di, beta + (t + 1,) * dj))
 
 
 def _merge_counts(f_patterns, g_patterns) -> list:
@@ -411,27 +400,20 @@ def _weight(n, r, links, weights) -> int:
 
 @memo(maxsize=4)
 def symmetrize(f) -> SymExpansion:
-    """ch_n(R f), a Schur expansion: group terms by graph type, expand each class atomically.
+    """ch_n(R f), a Schur expansion: the census of f's patterns by graph type,
+    each type expanded atomically once.
 
-    Indicators with the same path and cycle type have identical atomic
-    expansions, so the Reynolds average costs one expansion per class, divided
-    by den·n! at the end. At one n the walked paths and cycles name the class.
-    A PatternStatistic's terms of one pattern share its graph type, so it is
-    grouped by pattern, weighted by W summed over its placements, none built.
+    The terms of one pattern share its graph type and so their atomic
+    expansion, so a pattern counts with W, its placements weighted (1 for a
+    term), none built; the Reynolds average is divided by den·n! at the end.
+    At one n the walked paths and cycles name the class.
     """
-    if type(f) is PatternStatistic:
-        census, weight = [], {}  # W once per (r, links, weights)
-        for r, Q, *placed, c in f.patterns:
-            key = (r, *placed)
-            if key not in weight:
-                weight[key] = _weight(f.n, *key)
-            census.append((Q, c * weight[key]))
-    else:
-        census = f.nums
-    groups = {}
-    for pairs, c in census:
-        key = _graph_type(pairs)
-        groups[key] = groups.get(key, 0) + c
+    groups, weight = {}, {}  # graph type -> sum of num·W; (r, links, weights) -> W
+    for r, Q, links, weights, c in f.patterns:
+        if (w := weight.get((r, links, weights))) is None:
+            w = weight[r, links, weights] = _weight(f.n, r, links, weights)
+        key = _graph_type(Q)
+        groups[key] = groups.get(key, 0) + c * w
     acc = {}
     for (core, nu), c in groups.items():
         if c:
@@ -461,7 +443,7 @@ def eval_pointwise(f, w) -> Fraction:
     f, w = f.explicit(), tuple(w)
     if sorted(w) != list(range(1, f.n + 1)):
         raise ParseError(f"not a permutation of 1..{f.n}: {w}")
-    hits = sum(c for pairs, c in f.nums if all(w[i - 1] == j for i, j in pairs))
+    hits = sum(c for _, pairs, _, _, c in f.patterns if all(w[i - 1] == j for i, j in pairs))
     return Fraction(hits, f.den)
 
 

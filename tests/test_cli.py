@@ -383,7 +383,7 @@ def test_statistic_product_guard_counts_held_terms(capsys, monkeypatch, tmp_path
     clear_caches()
     _, err = run_cli(capsys, ["stat", str(path), "--moment", "2"], expect_rc=3)
     assert err == (
-        "refused: statistic product terms = 607 exceeds the guard limit 600"
+        "refused: statistic product patterns = 607 exceeds the guard limit 600"
         " (set PATHMN_MAX_N to override)\n"
     )
     clear_caches()

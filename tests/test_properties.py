@@ -17,7 +17,7 @@ from pathmn import (
     SCHUR,
     IndicatorTerm,
     PartialPermutation,
-    PatternStatistic,
+    Statistic,
     SymExpansion,
     atomic_schur,
     brute_atomic,
@@ -94,7 +94,7 @@ def test_symmetrize_is_the_average_of_the_atomic_expansions(data):
     ]
     f = make_statistic(n, terms)
     expected = SymExpansion(SCHUR, n, {})
-    for pairs, num in f.nums:
+    for _, pairs, _, _, num in f.patterns:
         I, J = tuple(i for i, _ in pairs), tuple(j for _, j in pairs)
         expected += atomic_schur(PartialPermutation(n, I, J)).scale(Fraction(num, f.den))
     assert symmetrize(f).schur == expected.scale(Fraction(1, math.factorial(n)))
@@ -119,7 +119,7 @@ def pattern_statistics(draw, n):
     den = math.lcm(*(c.denominator for c in table.values()))
     nums = {key: int(c * den) for key, c in table.items() if c}
     g = math.gcd(den, *nums.values())
-    return PatternStatistic(tuple(sorted((*key, c // g) for key, c in nums.items())), den // g, n)
+    return Statistic(tuple(sorted((*key, c // g) for key, c in nums.items())), den // g, n)
 
 
 @SEEDED

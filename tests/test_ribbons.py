@@ -579,7 +579,7 @@ def test_clear_caches_is_safe():
         "pathmn.symfunc._decimal",
         "pathmn.symfunc._parts_text",
         "pathmn.characters._atomic_from_type",
-        "pathmn.statistics.stat_product",
+        "pathmn.statistics._table_product",
         "pathmn.statistics.symmetrize",
     }
     assert all(m.cache_info().currsize for m in memos.values())

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -13,13 +14,13 @@ import pathmn.ribbons
 import pathmn.statistics
 import pathmn.symfunc
 from pathmn import (
+    BUILTINS,
     POWER,
     SCHUR,
     GuardError,
     IndicatorTerm,
     ParseError,
     PartialPermutation,
-    PatternStatistic,
     Statistic,
     SymExpansion,
     builtin,
@@ -50,7 +51,12 @@ def table_product(f, g, cap=None):
     """The product of two pattern tables on at most cap points (default n),
     whichever route stat_product would take."""
     patterns, den = pathmn.statistics._table_product(f.patterns, f.den, g.patterns, g.den, cap or f.n)
-    return PatternStatistic(patterns, den, f.n)
+    return Statistic(patterns, den, f.n)
+
+
+def spans_n(f):
+    """Whether every entry of f is a term: on all n points, with no links or weights."""
+    return all(r == f.n and not links and not weights for r, _, links, weights, _ in f.patterns)
 
 
 def test_builtin_exc_terms():
@@ -156,8 +162,8 @@ def test_equal_statistics_are_equal(terms, same, den):
     f, g = make_statistic(terms[0].pp.n, terms), make_statistic(terms[0].pp.n, same)
     assert f == g and hash(f) == hash(g)
     assert f.den == den
-    assert math.gcd(f.den, *(c for _, c in f.nums)) == 1
-    assert all(pairs == tuple(sorted(pairs)) for pairs, _ in f.nums)
+    assert spans_n(f) and math.gcd(f.den, *(c for *_, c in f.patterns)) == 1
+    assert all(pairs == tuple(sorted(pairs)) for _, pairs, *_ in f.patterns)
     assert [t.pp.I for t in f.terms] == [tuple(sorted(t.pp.I)) for t in f.terms]
     assert symmetrize(f) == symmetrize(g)
 
@@ -188,7 +194,7 @@ def test_stat_product_pointwise():
 
 
 def test_stat_product_identity_and_errors():
-    # exc term by term: a product with a Statistic takes the explicit route
+    # exc term by term: a product with a statistic of terms places both factors
     e5 = builtin("exc", 5).explicit()
     ident = make_statistic(5, [IndicatorTerm(Fraction(1), PartialPermutation(5, (), ()))])
     assert stat_product(ident, e5) == stat_product(ident, builtin("exc", 5)) == e5
@@ -302,7 +308,7 @@ def test_stat_product_square_matches_pairwise_merges():
 def test_stat_product_guard_counts_pair_visits(monkeypatch):
     # a square visits |f|(|f| + 1)/2 pairs of terms, any other product |f|·|g|
     exc, maj = builtin("exc", 6).explicit(), builtin("maj", 6).explicit()
-    assert (len(exc.nums), len(maj.nums)) == (15, 75)
+    assert (len(exc.patterns), len(maj.patterns)) == (15, 75)
     for g, visits in [(exc, 120), (maj, 1125)]:
         monkeypatch.setenv("PATHMN_MAX_N", str(visits - 1))
         clear_caches()
@@ -321,23 +327,23 @@ def test_stat_product_guard_counts_held_terms(monkeypatch):
     default = pathmn.statistics._MAX_TERMS
     for f, g, held in [(exc, exc, 80), (exc, maj, 554), (maj, maj, 695)]:
         clear_caches()
-        assert len(stat_product(f, g).nums) == held  # positive weights: nothing cancels
-        assert held <= len(f.nums) * len(g.nums)
+        assert len(stat_product(f, g).patterns) == held  # positive weights: nothing cancels
+        assert held <= len(f.patterns) * len(g.patterns)
         monkeypatch.setattr(pathmn.statistics, "_MAX_TERMS", held - 1)
         clear_caches()
-        with pytest.raises(GuardError, match=f"statistic product terms = {held} exceeds the guard limit {held - 1} "):
+        with pytest.raises(GuardError, match=f"statistic product patterns = {held} exceeds the guard limit {held - 1} "):
             stat_product(f, g)
         monkeypatch.setattr(pathmn.statistics, "_MAX_TERMS", held)
         clear_caches()
-        assert len(stat_product(f, g).nums) == held
+        assert len(stat_product(f, g).patterns) == held
         monkeypatch.setattr(pathmn.statistics, "_MAX_TERMS", default)
     # a low limit stops the loop within one outer term of passing it
     monkeypatch.setattr(pathmn.statistics, "_MAX_TERMS", 10)
     clear_caches()
-    with pytest.raises(GuardError, match="statistic product terms") as refused:
+    with pytest.raises(GuardError, match="statistic product patterns") as refused:
         stat_product(maj, maj)
     count = int(str(refused.value).split(" = ")[1].split()[0])
-    assert 10 < count <= 10 + len(maj.nums)
+    assert 10 < count <= 10 + len(maj.patterns)
 
 
 def test_builtin_guard_counts_terms(monkeypatch):
@@ -351,7 +357,7 @@ def test_builtin_guard_counts_terms(monkeypatch):
         with pytest.raises(GuardError, match=f"statistic terms = {count} exceeds"):
             build(name, n)
         monkeypatch.setenv("PATHMN_MAX_N", str(count))
-        assert len(build(name, n).nums) == count
+        assert len(build(name, n).patterns) == count
     monkeypatch.delenv("PATHMN_MAX_N")
     for name, n, count in [("exc", 708, 250278), ("maj", 81, 259200)]:
         with pytest.raises(GuardError, match=f"statistic terms = {count} exceeds the guard limit 250000"):
@@ -434,11 +440,11 @@ def test_a_pattern_product_takes_the_cheaper_route(monkeypatch):
     # the terms are the cheaper route, unless only the merges fit the guard
     f, e = builtin("maj", 5), builtin("maj", 5).explicit()
     reference = stat_product(e, e)
-    for limit, route in [(820, Statistic), (819, PatternStatistic)]:
+    for limit, terms in [(820, True), (819, False)]:
         monkeypatch.setenv("PATHMN_MAX_N", str(limit))
         clear_caches()
         square = stat_product(f, f)
-        assert type(square) is route and square.explicit() == reference
+        assert spans_n(square) is terms and square.explicit() == reference
     # past both, the product is refused on the smaller count: the merges here
     monkeypatch.setenv("PATHMN_MAX_N", "530")
     clear_caches()
@@ -453,7 +459,7 @@ def test_a_pattern_product_takes_the_cheaper_route(monkeypatch):
     monkeypatch.setenv("PATHMN_MAX_N", "576")
     clear_caches()
     fourth = stat_product(cube, f)
-    assert type(fourth) is Statistic and fourth == reference
+    assert spans_n(fourth) and fourth == reference
     assert all(eval_pointwise(fourth, w) == maj_of(w) ** 4 for w in all_perms(4))
     monkeypatch.setenv("PATHMN_MAX_N", "575")
     clear_caches()
@@ -484,7 +490,7 @@ def test_a_high_power_at_small_n_goes_term_by_term():
     power, reference = f, e
     for _ in range(39):
         power, reference = stat_product(power, f), stat_product(reference, e)
-    assert type(power) is Statistic and power == reference
+    assert spans_n(power) and power == reference
     assert all(eval_pointwise(power, w) == maj_of(w) ** 40 for w in all_perms(4))
     assert class_eval(symmetrize(power), (1, 1, 1, 1)) == 0
 
@@ -493,9 +499,9 @@ def test_exc_powers_are_pattern_statistics():
     # exc^2 on 2, 3 and 4 points: 1 -> 2 once, the chain 1 -> 2 -> 3 and the
     # three ways two disjoint pairs interleave twice each
     f = builtin("exc", 9)
-    assert f == PatternStatistic(((2, ((1, 2),), (), (), 1),), 1, 9)
+    assert f == Statistic(((2, ((1, 2),), (), (), 1),), 1, 9)
     square = stat_product(f, f)
-    assert type(square) is PatternStatistic and square.n == 9 and square.den == 1
+    assert not spans_n(square) and square.n == 9 and square.den == 1
     assert square.patterns == (
         (2, ((1, 2),), (), (), 1),
         (3, ((1, 2), (2, 3)), (), (), 2),
@@ -504,20 +510,20 @@ def test_exc_powers_are_pattern_statistics():
         (4, ((1, 4), (2, 3)), (), (), 2),
     )
     # one explicit term per placement of each pattern: C(9,2) + C(9,3) + 3·C(9,4)
-    assert len(square.explicit().nums) == 36 + 84 + 3 * 126
-    # a product with any Statistic goes term by term
+    assert len(square.explicit().patterns) == 36 + 84 + 3 * 126
+    # a product with a statistic of terms goes term by term
     maj = builtin("maj", 9).explicit()
-    assert type(stat_product(f, maj)) is Statistic
+    assert spans_n(maj) and spans_n(stat_product(f, maj))
     assert stat_product(f, maj) == stat_product(f.explicit(), maj)
 
 
 def test_pattern_and_explicit_records_never_share_a_memo_entry():
-    # lru_cache compares keys with ==, and a NamedTuple's == ignores its class:
-    # the one-term Statistic 1_{1 -> 2} at n = 3 is not exc at n = 3, and the
-    # zero statistics of the two kinds must not stand in for each other
-    one_term = Statistic(3, 1, ((((1, 2),), 1),))
+    # lru_cache compares keys with ==: the term 1_{1 -> 2} at n = 3 is the
+    # pattern 1 -> 2 placed on all 3 points, not exc at n = 3, and the zero
+    # statistic is one record, whichever route made it
+    one_term = Statistic(((3, ((1, 2),), (), (), 1),), 1, 3)
     exc = builtin("exc", 3)
-    assert one_term != exc and PatternStatistic((), 1, 3) != Statistic(3, 1, ())
+    assert one_term != exc and spans_n(one_term) and not spans_n(exc)
     for first, second in [(one_term, exc), (exc, one_term)]:
         clear_caches()
         a, b = symmetrize(first), symmetrize(second)
@@ -526,10 +532,65 @@ def test_pattern_and_explicit_records_never_share_a_memo_entry():
         assert class_eval(symmetrize(one_term), (1, 1, 1)) == 0
         assert class_eval(symmetrize(exc), (2, 1)) == 1
         clear_caches()
-        zero = stat_product(PatternStatistic((), 1, 3), exc)
-        assert type(zero) is PatternStatistic and zero.patterns == ()
-        assert type(stat_product(Statistic(3, 1, ()), one_term)) is Statistic
+        zero = stat_product(Statistic((), 1, 3), exc)
+        assert spans_n(zero) and zero == Statistic((), 1, 3) == stat_product(Statistic((), 1, 3), one_term)
 
+
+def test_a_placed_square_walks_one_merge(monkeypatch):
+    # two statistics of terms have one merge, the identity on all n points, and
+    # the walk reaches it in no step (unpruned, it grew like 3^n)
+    n = 200
+    f = make_statistic(n, [term(n, 1, (1,), (2,)), term(n, 3, (n - 1, 5), (n, 7)), term(n, -2, (5,), (7,))])
+    merges, steps = pathmn.statistics._merges, pathmn.statistics._steps
+    walked, taken = [], []
+    monkeypatch.setattr(pathmn.statistics, "_merges", lambda *walk: (walked.append(m) or m for m in merges(*walk)))
+    monkeypatch.setattr(pathmn.statistics, "_steps", lambda *node: taken.append(node) or steps(*node))
+    clear_caches()
+    square = stat_product(f, f)
+    identity = tuple(range(n + 1))
+    assert walked == [(n, identity, identity)] and taken == []
+    assert spans_n(square) and square == pairwise_product(n, f.terms, f.terms)
+
+
+def test_a_table_times_terms_is_the_product_of_terms():
+    # a product with a statistic of terms places the table too; the result is
+    # the product of the two tables, placed
+    for n in range(1, 9):
+        for a in BUILTINS:
+            for b in BUILTINS:
+                f, g = builtin(a, n), builtin(b, n)
+                placed = stat_product(f.explicit(), g.explicit())
+                assert spans_n(placed) and (n > 5 or placed == pairwise_product(n, f.terms, g.terms))
+                assert stat_product(f, g.explicit()) == stat_product(f.explicit(), g) == placed
+                assert stat_product(f, g).explicit() == placed
+
+
+def test_symmetrize_of_a_table_is_that_of_its_terms():
+    # the census weighs a pattern by its placements and a term by 1
+    for n in range(1, 9):
+        for name in BUILTINS:
+            f = builtin(name, n)
+            for table in (f, table_product(f, f), table_product(f, f, math.inf)):
+                placed = table.explicit()
+                assert spans_n(placed) and placed.explicit() is placed
+                assert symmetrize(table) == symmetrize(placed)
+
+
+def test_a_sparse_square_at_large_n_holds_no_mask_of_n_bits():
+    # a pair's bit is its rank among the two factors' distinct pairs: at bit
+    # i·(n + 1) + j the square of these two terms peaked at 422 MB at n = 20000
+    n = 10**5
+    f = make_statistic(n, [term(n, 1, (1,), (2,)), term(n, 1, (n - 1,), (n,))])
+    clear_caches()
+    tracemalloc.start()
+    try:
+        square = stat_product(f, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert square == Statistic(((n, ((1, 2),), (), (), 1), (n, ((1, 2), (n - 1, n)), (), (), 2),
+                                (n, ((n - 1, n),), (), (), 1)), 1, n)
+    assert peak < 16 * 2**20  # the two maps of the one merge hold 2 x 10^5 points
 
 # seeded sizes past the brute range, up to 2000
 LARGE_N = sorted(random.Random(27).sample(range(1001, 2001), 2))
@@ -566,7 +627,7 @@ def test_maj_and_des_are_linked_pattern_statistics():
     assert all(weights == links and c == 1 for _, _, links, weights, c in maj.patterns)
     assert des.patterns == tuple((r, Q, links, (), c) for r, Q, links, _, c in maj.patterns)
     # (n - 1)·C(n, 2) placements, one term each
-    assert len(maj.explicit().nums) == len(des.explicit().nums) == 8 * 36
+    assert len(maj.explicit().patterns) == len(des.explicit().patterns) == 8 * 36
     for n in range(1, 7):
         for w in all_perms(n):
             assert eval_pointwise(builtin("des", n), w) == des_of(w)
@@ -712,7 +773,7 @@ def test_stat_product_builds_one_term_per_result(monkeypatch):
     assert built == terms_built == fractions == []
     assert cf.nums
     terms = result.terms
-    assert len(built) == len(terms_built) == len(fractions) == len(terms) == len(result.nums) > 0
+    assert len(built) == len(terms_built) == len(fractions) == len(terms) == len(result.patterns) > 0
 
 
 def power(f, m):
@@ -910,7 +971,7 @@ def test_variance_on_every_class_reuses_the_bounded_memos():
     classes = list(partitions_of(8))
     assert len(classes) == 22
     variances = [variance_on_class(f, mu) for mu in classes]
-    assert stat_product.cache_info().hits == 21
+    assert pathmn.statistics._table_product.cache_info().hits == 21
     assert symmetrize.cache_info().hits == 42
     sq = symmetrize(stat_product(f, f))
     mean = symmetrize(f)
@@ -925,9 +986,9 @@ def test_a_moment_chain_keeps_at_most_four_results_per_memo():
     for _ in range(199):
         power = stat_product(power, f)
         cf = symmetrize(power)
-    assert stat_product.cache_info().currsize <= 4
+    assert pathmn.statistics._table_product.cache_info().currsize <= 4
     assert symmetrize.cache_info().currsize <= 4
-    assert power.nums == (((), 2**200),)
+    assert power.patterns == ((3, (), (), (), 2**200),)
     assert [class_eval(cf, mu) for mu in partitions_of(3)] == [2**200] * 3
 
 
