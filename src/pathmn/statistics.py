@@ -9,24 +9,22 @@ des (8 patterns linked at a descent) does not depend on n. A term c·1_{I,J}
 is the pattern placed on all n points, (n, pairs, (), (), c), whose only
 placement is the identity; explicit() places every entry so.
 
-Every product runs in one loop, _table_product: a pattern becomes its pair,
-source and target masks under each merge of its points with those of the
-other factor's patterns, and two terms merge iff they share as many pairs as
-sources and as targets. Two tables multiply on every number of points when
-that costs little more than on at most n (one table then serves every n),
-unless their terms cost less; any other product places both factors and
-walks the one merge of n points with n points, a pair visit per pair of
-terms. A product is refused before its loop past _MAX_VISITS merges or pair
-visits, and in it past _MAX_TERMS held patterns.
+Every product runs in one loop, _table_product, on masks of the patterns'
+images under each merge of their points. Two tables multiply on every number
+of points when that costs little more than on at most n (one table then
+serves every n), unless their terms cost less; any other product places both
+factors, whose one merge on n points makes each pair of terms a pair visit.
+A product is refused before its loop past _MAX_VISITS merges or pair visits,
+and in it past _MAX_TERMS held patterns.
 
 symmetrize is the census sum_Q c_Q·W(n; Q)·A(type Q, n), W the weighted
 count of the placements of Q (1 for a term) and A the atomic expansion of its
 graph type, with no term built; explicit() is its oracle. It returns a Schur
 SymExpansion: integers on Maya masks, the form class_eval removes ribbons from.
 
-The product and class-function memos keep the 4 results used last, which
-hold what variance_on_class reuses: f·f and the class functions of f and f·f.
-Every memo result is read-only.
+The product, merge-count and class-function memos keep the 4 results used
+last, which hold what variance_on_class reuses: f·f, its route's counts and
+the class functions of f and f·f. Every memo result is read-only.
 """
 
 import json
@@ -123,7 +121,7 @@ class Statistic(NamedTuple):
 
 
 def _placed(f: Statistic) -> bool:
-    """Whether every entry of f is a term: on all n points, with no links or weights."""
+    """Whether every entry of f is a term (on all n points, no links or weights)."""
     return all(r == f.n and not links and not weights for r, _, links, weights, _ in f.patterns)
 
 
@@ -350,10 +348,11 @@ def _merges(r, links_a, s, links_b, cap):
                     stack.append((i + di, j + dj, t + 1, alpha + (t + 1,) * di, beta + (t + 1,) * dj))
 
 
-def _merge_counts(f_patterns, g_patterns) -> list:
+@memo(maxsize=4)
+def _merge_counts(f_patterns, g_patterns) -> tuple:
     """How many merges onto t points _table_product walks, at index t: per
     pair of patterns (unordered for a square), the paths of _steps that end
-    at step t, counted layer by layer."""
+    at step t, counted layer by layer; kept for the products it memoizes."""
     shapes, counts, square = {}, [], f_patterns == g_patterns
     for i, (r, _, links, *_) in enumerate(f_patterns):
         for s, _, links_b, *_ in g_patterns[i if square else 0:]:
@@ -368,7 +367,7 @@ def _merge_counts(f_patterns, g_patterns) -> list:
                 for di, dj in _steps(i, j, r, links_a, s, links_b):
                     nxt[i + di, j + dj] = nxt.get((i + di, j + dj), 0) + c
             layer = nxt
-    return counts
+    return tuple(counts)
 
 
 def _weight(n, r, links, weights) -> int:
