@@ -242,9 +242,9 @@ def _table_product(f_patterns, f_den, g_patterns, g_den, cap) -> tuple:
                     walks[walk].setdefault((t, alpha), []).append(beta)
             moved = {}  # beta -> g_group moved there, for this walk
             for (t, alpha), betas in walks[walk].items():
-                links, weights, placed = images = _moved(f_group, f_key, alpha, bits, points)
+                links, weights, placed = here = _moved(f_group, f_key, alpha, bits, points)
                 if f_group is g_group:
-                    moved.setdefault(alpha, images)  # a square's group moved by the same map
+                    moved.setdefault(alpha, here)  # a square's group moved by the same map
                 for beta in betas:
                     if beta not in moved:
                         moved[beta] = _moved(g_group, g_key, beta, bits, points)
