@@ -176,8 +176,10 @@ def word_array_path_expansion(mu, N: int) -> SymExpansion:
     """Schur expansion of a path power sum by summing stable standard arrays.
 
     Each stable array contributes the sign of the permutation sorting its
-    weight vector, attached to the partition (sorted weight) - delta. Equals
-    path_power_to_schur(mu); the m(mu)! multiplicity emerges on its own.
+    weight vector, attached to the partition (sorted weight) - delta; its
+    weights are distinct, since wt_i = wt_j is the instability of the whole
+    words i and j. Equals path_power_to_schur(mu); the m(mu)! multiplicity
+    emerges on its own.
     """
     mu = check_partition(tuple(sorted(mu, reverse=True)))
     if N < sum(mu):
@@ -189,13 +191,10 @@ def word_array_path_expansion(mu, N: int) -> SymExpansion:
         if unstable_pairs(words, mu):
             continue
         wt = array_weight(words, mu)
-        if len(set(wt)) != len(wt):
-            continue
         swt = sorted(wt, reverse=True)
         sign = _sort_sign(wt)
         lam = tuple(e - (N - 1 - i) for i, e in enumerate(swt))
-        lam = tuple(p for p in lam if p)
-        lam = check_partition(lam)
+        lam = check_partition(tuple(p for p in lam if p))
         terms[lam] = terms.get(lam, 0) + sign
     return SymExpansion(SCHUR, sum(mu), terms)
 

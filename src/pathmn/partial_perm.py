@@ -15,7 +15,7 @@ from itertools import zip_longest
 from typing import NamedTuple, Optional
 
 from pathmn.errors import ParseError, read_int
-from pathmn.partitions import partitions_of, syt_count
+from pathmn.partitions import _list_items, partitions_of, syt_count
 
 __all__ = [
     "PartialPermutation",
@@ -173,13 +173,9 @@ def parse_pp(text: str, n: int) -> PartialPermutation:
         raise ParseError(f"expected 'I -> J', got {text!r}")
 
     def side(s):
-        s = s.strip()
-        if s.startswith("[") and s.endswith("]"):
-            s = s[1:-1].strip()
-        if not s:
-            return ()
+        s, items = _list_items(s)
         try:
-            return tuple(map(read_int, s.replace(",", " ").split()))
+            return tuple(map(read_int, items))
         except ParseError:
             raise ParseError(f"bad index list {s!r} in {text!r}") from None
 

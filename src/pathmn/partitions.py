@@ -207,17 +207,20 @@ _MAX_PARSED_PARTS = 10**7
 _MAX_TOKEN = 40  # refused unread: parts fit an index-sized int, multiplicities are <= 10^7
 
 
-def _parse_parts(text: str) -> tuple:
+def _list_items(text: str) -> tuple:
+    """A list "4,3,1", "[4, 3, 1]" or "4 3 1" without its outer spaces and brackets, and its items."""
     text = text.strip()
     if text.startswith("[") and text.endswith("]"):
-        text = text[1:-1]
-    text = text.strip()
-    if not text:
-        return ()
+        text = text[1:-1].strip()
+    return text, text.replace(",", " ").split()
+
+
+def _parse_parts(text: str) -> tuple:
+    """The parts of a list of tokens "p" or "p^m" (m copies of p), each checked
+    before it is read and the count before the list is built."""
+    text, tokens = _list_items(text)
     parts = []
-    for token in re.split(r"[,\s]+", text):
-        if not token:
-            continue
+    for token in tokens:
         m = _TOKEN.fullmatch(token)
         if not m:
             raise ParseError(f"bad partition token {token!r} in {text!r}")

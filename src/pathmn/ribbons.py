@@ -59,6 +59,7 @@ _MAX_SHAPES = 5604  # p(30), all of p_{1^30}: p-expand 1^30 takes 0.4 s, 1^40 (3
 _MAX_NODES = 100_000  # about 1.3 s of walking; path-expand 4,4,3,3,2,2,1,1 --show-tilings visits 52,074
 _MAX_STEPS = 1 << 13  # table 20 steps 5632 distinct inputs; at n = 1200 a step holds ~1.5 kB
 _MAX_FACTORIALS = 64  # (n - |mu|)! of the last few n; at n = 1200 one is 10,000 bits
+_FACTORIAL_STEP = 64  # factors between a factorial and the last one built, stepped over, not rebuilt
 
 _MEMOS = []  # every memo in the package; this module sits below all that hold one
 
@@ -74,9 +75,10 @@ def memo(fn=None, *, maxsize=None):
 
 
 def clear_caches():
-    """Empty every memo in the package."""
+    """Empty every memo in the package, and forget the last factorial built."""
     for m in _MEMOS:
         m.cache_clear()
+    _last_factorial[:] = 0, 1
 
 
 class RibbonAddition(NamedTuple):
@@ -344,10 +346,24 @@ def stable_expansion(mu, n: int):
     return SymExpansion._trusted(SCHUR, n, 1, {m: prefactor * c for m, c in terms.items()})
 
 
+_last_factorial = [0, 1]  # k and k! of the last factorial _factorial built
+
+
 @memo(maxsize=_MAX_FACTORIALS)
 def _factorial(k) -> int:
-    """k!: the (n - |mu|)! of one n recurs in every expansion at that n."""
-    return math.factorial(k)
+    """k!: the (n - |mu|)! of one n recurs in every expansion at that n. The
+    factorials of one n (n! and each (n - |mu|)!) lie a few factors apart, so
+    within _FACTORIAL_STEP factors of the last one built, k! is that one times
+    or divided by the factors between, in time linear in its size."""
+    j, last = _last_factorial
+    if j <= k <= j + _FACTORIAL_STEP:
+        out = last * math.prod(range(j + 1, k + 1))
+    elif k < j <= k + _FACTORIAL_STEP:
+        out = last // math.prod(range(k + 1, j + 1))
+    else:
+        out = math.factorial(k)
+    _last_factorial[:] = k, out
+    return out
 
 
 def _stable_terms(mu, n: int) -> tuple:

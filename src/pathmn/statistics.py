@@ -39,7 +39,7 @@ from pathmn.errors import (ParseError, check_guard, effective_limit, int_text, j
 # decompose is unused here but stays bound: perfbench's tracer test looks for it
 from pathmn.partial_perm import IndicatorTerm, PartialPermutation, _graph_type, decompose
 from pathmn.partitions import check_partition
-from pathmn.ribbons import _ribbon_chains, memo
+from pathmn.ribbons import _factorial, _ribbon_chains, memo
 from pathmn.symfunc import SCHUR, SymExpansion, _reduced
 
 __all__ = [
@@ -61,10 +61,11 @@ BUILTINS = ("exc", "maj", "des")  # the names builtin knows; the CLI reads them 
 # product's merges: maj^3 at n = 8 visits 1,339,072 pairs or walks 417,296 merges, and
 # at n >= 12 1,182,176 merges; exc^6 at any n 545,731
 _MAX_VISITS = 2_000_000
-# a merge of linked patterns, with the census over them, costs about as much as 4 pair visits
-# with the symmetrization of their terms (maj^2 and des^2 at n = 5..8 break even at 4.4 to 5.5,
-# their cubes at 3 to 5); a merge of unlinked ones, which share each walk, about 1 (exc^m)
-_MERGE_COST = 4
+# a merge of linked patterns, with the census over them, costs about as much as 3 pair visits
+# with the symmetrization of their terms (at 3 maj^3 and des^3 at n = 8 take the table, 15-20%
+# faster than their terms); a merge of unlinked ones, which share each walk, about 1 (at 3,
+# exc^5 at n = 6 and exc^6 at n = 6..7 would take their terms, 1.1 to 1.5x slower)
+_MERGE_COST = 3
 _MAX_TERMS = 250_000  # a statistic's terms or a product's patterns; maj at n = 80 has 249,640 (0.7 s, 90 MB to build)
 
 
@@ -102,12 +103,11 @@ class Statistic(NamedTuple):
 
     @memo(maxsize=1)
     def _place(self) -> "Statistic":
-        """The placements of each pattern, counted first and refused past
-        _MAX_TERMS unbuilt; the last one built is kept, for eval_pointwise
-        over many permutations."""
+        """The placements of each pattern, counted first by _placements and
+        refused past _MAX_TERMS unbuilt; the last one built is kept, for
+        eval_pointwise over many permutations."""
         n = self.n
-        check_guard(sum(_weight(n, r, links, ()) for r, _, links, _, _ in self.patterns), _MAX_TERMS,
-                    "statistic terms")
+        check_guard(_placements(self), _MAX_TERMS, "statistic terms")
         acc, placed = {}, {}  # (r, links) -> every alpha, read from index 1
         for r, Q, links, weights, c in self.patterns:
             if (r, links) not in placed:
@@ -147,8 +147,10 @@ def builtin(name: str, n: int) -> Statistic:
     "des" (descents), each an n-free table.
 
     exc is the one pattern 1 -> 2. A descent at position a is a value pair
-    b < d with a -> d and a + 1 -> b: the 8 patterns of ((a, d), (a + 1, b))
-    on the points they cover, linked at a; maj weights each one by a.
+    b < d with a -> d and a + 1 -> b: each merge (t, alpha, beta) of the
+    linked positions a, a + 1 with the values b < d (_merges, the walk that
+    multiplies tables) gives the pattern ((alpha1, beta2), (alpha2, beta1))
+    on its t points, linked at alpha1, 8 in all; maj weights each by alpha1.
     """
     if n < 1:
         raise ParseError(f"ambient size must be >= 1, got {n}")
@@ -156,10 +158,8 @@ def builtin(name: str, n: int) -> Statistic:
         raise ParseError(f"unknown builtin statistic {name!r}")
     if name == "exc":
         return Statistic(((2, ((1, 2),), (), (), 1),), 1, n)
-    return Statistic(tuple(sorted(
-        (len(points), ((a, d), (a + 1, b)), (a,), (a,) * (name == "maj"), 1)
-        for a in range(1, 4) for b, d in combinations(range(1, 5), 2)
-        if (points := {a, a + 1, b, d}) == set(range(1, len(points) + 1)))), 1, n)
+    return Statistic(tuple(sorted((t, ((a[1], b[2]), (a[2], b[1])), (a[1],), (a[1],) * (name == "maj"), 1)
+                                  for t, a, b in _merges(2, (1,), 2, (), math.inf))), 1, n)
 
 
 def stat_product(f, g):
@@ -420,7 +420,7 @@ def symmetrize(f) -> SymExpansion:
         if c:
             for m, v in _atomic_from_type(core, nu, f.n).items():
                 acc[m] = acc.get(m, 0) + c * v
-    return _reduced(SCHUR, f.n, f.den * math.factorial(f.n), acc)
+    return _reduced(SCHUR, f.n, f.den * _factorial(f.n), acc)
 
 
 def class_eval(cf: SymExpansion, mu) -> Fraction:

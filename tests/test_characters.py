@@ -105,6 +105,8 @@ def test_char_eval_empty_pp():
 def test_char_eval_direct_agrees():
     for lam in partitions_of(7):
         assert char_eval_direct(lam, A7) == char_eval(lam, A7)
+    with pytest.raises(ParseError, match=r"\|lam\| = 6 but ambient size is 7"):
+        char_eval_direct((3, 2, 1), A7)
     rng = random.Random(20260817)
     for _ in range(6):
         pp = random_pp(rng, 6)

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import pathmn.cli
+import pathmn.oracles
 import pathmn.ribbons
 from pathmn import (
     PATH,
@@ -601,6 +602,29 @@ def test_closed_stdout_exits_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
+
+
+def test_closed_stdout_exits_1_in_process(capsys, monkeypatch):
+    # main itself: the write meets a pipe with no reader, and devnull goes
+    # under stdout's descriptor, so the flush at close has somewhere to go
+    read, write = os.pipe()
+    os.close(read)
+    stdout = open(write, "w", encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        assert main(["table", "6"]) == 1
+    finally:
+        stdout.close()
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(("scope", "route"), [("atomic", "atomic_schur"), ("words", "path_power_to_schur")])
+def test_oracle_check_exits_4_when_a_route_disagrees(capsys, monkeypatch, scope, route):
+    fast = getattr(pathmn.oracles, route)
+    monkeypatch.setattr(pathmn.oracles, route, lambda arg: fast(arg).scale(2))
+    out, err = run_cli(capsys, ["oracle-check", scope, "--max-n", "3"], expect_rc=4)
+    assert out == "" and err.startswith("oracle mismatch: ")
+    clear_caches()  # later tests read guards on chains that the sweep has memoized
 
 
 def _package_imports():

@@ -143,6 +143,20 @@ def test_word_array_route_matches_path_route():
                 assert got == expect
 
 
+def test_no_stable_word_array_repeats_a_weight():
+    # wt_i = wt_j (i < j) is the instability of the whole words i and j, so
+    # the word-array route needs no test of distinct weights after stability
+    stable = 0
+    for size in range(6):
+        for mu in partitions_of(size):
+            for words in standard_word_arrays(mu, size):
+                if not unstable_pairs(words, mu):
+                    weights = array_weight(words, mu)
+                    assert len(set(weights)) == len(weights), (mu, words)
+                    stable += 1
+    assert stable == 258
+
+
 def test_word_array_guards():
     with pytest.raises(ParseError):
         word_array_path_expansion((2, 1), 2)

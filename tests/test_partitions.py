@@ -20,6 +20,7 @@ from pathmn import (
     pad_row,
     parse_composition,
     parse_partition,
+    parse_pp,
     partitions_of,
     syt_count,
     z_mu,
@@ -94,6 +95,8 @@ def test_pad_row():
         pad_row((2, 2), 5)
     with pytest.raises(ParseError):
         pad_row((3,), 2)
+    with pytest.raises(ParseError, match="n below"):
+        pad_row((), -1)
 
 
 def test_pad_column():
@@ -234,6 +237,81 @@ def test_parse_composition():
     assert parse_composition("2^2 1") == (2, 2, 1)
     with pytest.raises(ParseError):
         parse_composition("1,0")
+
+
+# text -> the partition it reads as, or the ParseError's message (and the
+# composition's, when they differ); Unicode spaces separate like ASCII ones
+PARTITION_TEXTS = [
+    ("4,3,1", (4, 3, 1)),
+    ("[4,3,1]", (4, 3, 1)),
+    ("4 3 1", (4, 3, 1)),
+    ("  [ 4, 3 ,1 ]  ", (4, 3, 1)),
+    ("2^2 1^3", (2, 2, 1, 1, 1)),
+    ("[2^2,1^3]", (2, 2, 1, 1, 1)),
+    ("", ()),
+    ("   ", ()),
+    ("[]", ()),
+    ("[ ]", ()),
+    (",4,,3,", (4, 3)),
+    ("4\t3\n1", (4, 3, 1)),
+    ("4\xa03\x1c1", (4, 3, 1)),
+    ("[[1]]", "bad partition token '[1]' in '[1]'"),
+    ("[4,3", "bad partition token '[4' in '[4,3'"),
+    ("4,3]", "bad partition token '3]' in '4,3]'"),
+    ("4;3", "bad partition token '4;3' in '4;3'"),
+    ("0", "parts must be positive, got 0 in '0'"),
+    ("3,0", "parts must be positive, got 0 in '3,0'"),
+    ("-1", "bad partition token '-1' in '-1'"),
+    ("1^0", ()),
+    ("2^", "bad partition token '2^' in '2^'"),
+    ("^2", "bad partition token '^2' in '^2'"),
+    ("a", "bad partition token 'a' in 'a'"),
+    ("1,2", "not a partition (weakly decreasing positive parts): (1, 2)", (1, 2)),
+    ("9" * 41, f"partition token too long in '{'9' * 41}'"),
+    ("10^7", (10,) * 7),
+    ("1^10000001", "more than 10000000 parts in '1^10000001'"),
+    ("3^2,2^3", (3, 3, 2, 2, 2)),
+    ("\u0663", "bad partition token '\u0663' in '\u0663'"),
+]
+# text -> (I, J) at n = 6, or the ParseError's message
+PP_TEXTS = [
+    ("1,4,5 -> 2,5,6", ((1, 4, 5), (2, 5, 6))),
+    ("[1,4] -> [2,5]", ((1, 4), (2, 5))),
+    (" -> ", ((), ())),
+    ("->", ((), ())),
+    ("[] -> []", ((), ())),
+    ("1 4->2 5", ((1, 4), (2, 5))),
+    ("1,,4 -> 2 ,5", ((1, 4), (2, 5))),
+    ("1 -> 2 -> 3", "expected 'I -> J', got '1 -> 2 -> 3'"),
+    ("1,2", "expected 'I -> J', got '1,2'"),
+    ("1 -> x", "bad index list 'x' in '1 -> x'"),
+    ("[1 -> 2]", "bad index list '[1' in '[1 -> 2]'"),
+    ("1,1 -> 2,3", "I has repeated entries: (1, 1)"),
+    ("1 -> 7", "J entry 7 outside [1..6]"),
+    ("0 -> 1", "I entry 0 outside [1..6]"),
+    ("-1 -> 1", "I entry -1 outside [1..6]"),
+    ("1,2 -> 3", "|I| = 2 but |J| = 1"),
+    ("[ 1 , 2 ] -> [ 3 , 4 ]", ((1, 2), (3, 4))),
+]
+
+
+def _read(parse, *args):
+    try:
+        return parse(*args)
+    except ParseError as e:
+        return str(e)
+
+
+def test_lists_read_the_same_in_both_parsers():
+    # partitions and --pp sides strip a list's spaces and brackets and split it
+    # at commas and spaces alike; these values and messages are pinned
+    assert len(PARTITION_TEXTS) + len(PP_TEXTS) == 47
+    for text, partition, *composition in PARTITION_TEXTS:
+        assert _read(parse_partition, text) == partition, text
+        assert _read(parse_composition, text) == (composition or [partition])[0], text
+    for text, expected in PP_TEXTS:
+        pp = _read(parse_pp, text, 6)
+        assert (pp if type(pp) is str else (pp.I, pp.J)) == expected, text
 
 
 def test_format_partition_round_trip():

@@ -36,6 +36,7 @@ from pathmn import (
 )
 from pathmn.ribbons import (
     _extend_first_row,
+    _factorial,
     _frozen_prefixes,
     _mask,
     _ribbon_chains,
@@ -332,6 +333,7 @@ def test_tiling_from_type_depth():
         for t in enumerate_monotonic(mu):
             assert tiling_from_type_depth(t.type, t.depth) == t
     assert tiling_from_type_depth((5, 3, 3), (3, 2, 1)) is None
+    assert tiling_from_type_depth((1, 1), (1, 2)) is None  # tails get no deeper left to right
     with pytest.raises(ParseError):
         tiling_from_type_depth((2, 1), (1,))
 
@@ -585,7 +587,19 @@ def test_clear_caches_is_safe():
     assert all(m.cache_info().currsize for m in memos.values())
     clear_caches()
     assert {k: m.cache_info().currsize for k, m in memos.items()} == dict.fromkeys(memos, 0)
+    assert pathmn.ribbons._last_factorial == [0, 1]  # the factorial held for the next step is let go
     assert skew_mn((4, 3, 1), (3, 2, 2, 1)) == before
+
+
+def test_a_factorial_is_stepped_from_the_last_one_built(monkeypatch):
+    # within _FACTORIAL_STEP = 64 factors of the last factorial built, up or
+    # down, k! is that one times or divided by the factors between
+    factorial, built = math.factorial, []
+    monkeypatch.setattr(math, "factorial", lambda k: built.append(k) or factorial(k))
+    clear_caches()
+    ks = [500, 503, 498, 434, 503, 600, 665, 0, 64, 3]
+    assert [_factorial(k) for k in ks] == [factorial(k) for k in ks]
+    assert built == [500, 600, 665, 0]  # 503 again is a memo hit; 600 is 166 past 434, 665 65 past 600
 
 
 def test_one_step_leaves_at_least_r_shapes():

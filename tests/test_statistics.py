@@ -128,6 +128,8 @@ def test_make_statistic_merges_terms():
     )
     assert g.terms == ()
     assert (f.den, g.den) == (6, 1)
+    with pytest.raises(ParseError, match="term on ambient size 4, expected 5"):
+        make_statistic(5, [IndicatorTerm(Fraction(1), pp)])
 
 
 def term(n, c, I, J):
@@ -483,6 +485,21 @@ def test_a_pattern_table_serves_every_n_when_it_costs_little_more():
         assert max(r for r, *_ in stat_product(stat_product(f, f), f).patterns) == most
 
 
+def test_the_cubes_of_maj_and_des_take_the_table_from_n_8():
+    # a linked merge costs _MERGE_COST = 3 pair visits: maj^2's and des^2's
+    # tables times maj or des walk fewer than a third as many merges as their
+    # terms visit pairs from n = 8, and more at n = 7; the digests are the
+    # bytes `stat maj|des --n 8 --moment 3 --format json` printed term by term
+    digests = {"maj": "3d6e48577b9d96410b6aef67cb76d71f6956ed1aee43b83075568c8e814d9af8",
+               "des": "530cc0f7b95125dc110b97df6019dee7e3ac16e835a3842a9befdbe25fccdba3"}
+    for name, digest in digests.items():
+        for n in (7, 8):
+            f = builtin(name, n)
+            cube = stat_product(stat_product(f, f), f)
+            assert spans_n(cube) is (n == 7)
+        assert hashlib.sha256((symmetrize(cube).to_json() + "\n").encode()).hexdigest() == digest
+
+
 def test_a_high_power_at_small_n_goes_term_by_term():
     # maj^40 at n = 4: once the terms are the cheaper route every further factor
     # multiplies them, 32 x 18 pair visits at most, however many weights pile up
@@ -592,6 +609,21 @@ def test_a_sparse_square_at_large_n_holds_no_mask_of_n_bits():
                                 (n, ((n - 1, n),), (), (), 1)), 1, n)
     assert peak < 16 * 2**20  # the two maps of the one merge hold 2 x 10^5 points
 
+
+def test_a_sparse_square_at_large_n_builds_one_factorial(monkeypatch):
+    # n!, (n - 2)! and (n - 4)! (symmetrize's divisor and the two graph
+    # types') lie a few factors apart: one is built, the others stepped from it
+    n = 10**5
+    f = make_statistic(n, [term(n, 1, (1,), (2,)), term(n, 1, (n - 1,), (n,))])
+    factorial, built = math.factorial, []
+    monkeypatch.setattr(math, "factorial", lambda k: built.append(k) or factorial(k))
+    clear_caches()
+    cf = symmetrize(stat_product(f, f))
+    assert len([k for k in built if k > 1000]) == 1
+    # the mean over S_n of 1_{1->2} + 1_{n-1->n} + 2·1_{1->2, n-1->n}
+    assert cf.coeff((n,)) == Fraction(2, n) + Fraction(2, n * (n - 1))
+
+
 # seeded sizes past the brute range, up to 2000
 LARGE_N = sorted(random.Random(27).sample(range(1001, 2001), 2))
 
@@ -631,6 +663,29 @@ def test_maj_and_des_are_linked_pattern_statistics():
     for n in range(1, 7):
         for w in all_perms(n):
             assert eval_pointwise(builtin("des", n), w) == des_of(w)
+
+
+# maj's table as it was written out before builtin took it from the merge walk
+MAJ_PATTERNS = (
+    (2, ((1, 2), (2, 1)), (1,), (1,), 1), (3, ((1, 3), (2, 1)), (1,), (1,), 1),
+    (3, ((1, 3), (2, 2)), (1,), (1,), 1), (3, ((2, 2), (3, 1)), (2,), (2,), 1),
+    (3, ((2, 3), (3, 1)), (2,), (2,), 1), (4, ((1, 4), (2, 3)), (1,), (1,), 1),
+    (4, ((2, 4), (3, 1)), (2,), (2,), 1), (4, ((3, 2), (4, 1)), (3,), (3,), 1),
+)
+
+
+def test_maj_and_des_are_the_merges_of_a_descent():
+    # the merges of the linked positions a, a + 1 with the values b < d: the
+    # table above, which is each descent ((a, d), (a + 1, b)) on the points it covers
+    descents = sorted((len(points), ((a, d), (a + 1, b)), (a,), (a,), 1)
+                      for a in range(1, 4) for b, d in combinations(range(1, 5), 2)
+                      if (points := {a, a + 1, b, d}) == set(range(1, len(points) + 1)))
+    assert list(MAJ_PATTERNS) == descents
+    des = tuple((r, Q, links, (), c) for r, Q, links, _, c in MAJ_PATTERNS)
+    for n in range(1, 13):
+        assert builtin("maj", n) == Statistic(MAJ_PATTERNS, 1, n)
+        assert builtin("des", n) == Statistic(des, 1, n)
+        assert builtin("exc", n) == Statistic(((2, ((1, 2),), (), (), 1),), 1, n)
 
 
 def test_des_class_moments_match_brute():
@@ -1124,6 +1179,14 @@ def test_json_round_trip():
     for coeff in ("1/-2", "1/+2", "x", "1/0", "1//2"):
         with pytest.raises(ParseError):
             stat_from_json('{"n": 2, "terms": [{"coeff": "%s", "I": [1], "J": [2]}]}' % coeff)
+
+
+def test_invalid_json_is_a_parse_error():
+    for text in ["", "{", '{"n": 2,}', '{"n": 2, "terms": [}']:
+        with pytest.raises(ParseError, match="^invalid JSON: "):
+            stat_from_json(text)
+        with pytest.raises(ParseError, match="^invalid JSON: "):
+            SymExpansion.from_json(text)
 
 
 def test_json_numbers_are_read_exactly():

@@ -49,7 +49,10 @@ def test_constructor_validation():
         SymExpansion(SCHUR, 3, {(2,): 1})
     with pytest.raises(ParseError):
         SymExpansion(SCHUR, 3, {(1, 2): 1})
+    with pytest.raises(ParseError, match="degree must be nonnegative, got -1"):
+        SymExpansion(SCHUR, -1, {})
     e = SymExpansion(SCHUR, 2, {(2,): 0, (1, 1): 3})
+    assert e and not SymExpansion(SCHUR, 2, {(2,): 0})
     assert dict(e.items()) == {(1, 1): Fraction(3)}
     assert e.coeff((2,)) == 0
     assert e.coeff((1, 1)) == 3
@@ -71,6 +74,8 @@ def test_arithmetic():
         a + SymExpansion(SCHUR, 3, {(3,): 1})
     with pytest.raises(ParseError):
         a + SymExpansion(POWER, 2, {(2,): 1})
+    with pytest.raises(TypeError, match="cannot combine SymExpansion with int"):
+        a + 1
 
 
 def test_render():
@@ -403,12 +408,13 @@ def test_expansions_from_masks_equal_validated_ones(n):
 
 def test_int_text_is_the_decimal_text_at_and_past_the_split():
     # below _SPLIT_BITS bits int_text is str(v); past it a binary split in
-    # Decimal arithmetic, the same digits whatever the interpreter's limit
+    # Decimal arithmetic, the same digits whatever the interpreter's limit:
+    # 640, the least it accepts, makes str(v) fail below the split too
     S = _SPLIT_BITS
     values = [0, 7, 2**S - 1, 2**S, 2**S + 1, 2**(2 * S) + 1, 2**(3 * S + 5) - 2**S,
               10**20000, 3**40000, math.factorial(15000)]
     set_limit = getattr(sys, "set_int_max_str_digits", None)
-    for limit in ([4300, 0] if set_limit else [None]):
+    for limit in ([4300, 640, 0] if set_limit else [None]):
         if limit is not None:
             old = sys.get_int_max_str_digits()
             set_limit(limit)
@@ -424,9 +430,12 @@ def test_int_text_is_the_decimal_text_at_and_past_the_split():
 def test_read_int_is_int_at_and_past_the_split():
     # up to _SPLIT_DIGITS digits read_int is int(text); past them a binary split
     # joined by int products, the same value whatever the interpreter's limit
+    # (at 640, the least it accepts, int(text) fails below the split too); a
+    # 21,000-digit text splits as 5000 + 16000 digits, a high half read one level down
     D = _SPLIT_DIGITS
     texts = ["0", "7", "9" * D, "1" + "0" * D, "9" * (D + 1), "000" + "9" * D, "0" * (D + 3) + "12",
-             "1" * (2 * D), "1" * (2 * D + 1), "5" * (4 * D + 7), _int_text(3**40000), _int_text(math.factorial(15000))]
+             "1" * (2 * D), "1" * (2 * D + 1), "5" * (4 * D + 7), "3" * 21000, _int_text(3**40000),
+             _int_text(math.factorial(15000))]
     texts += ["-" + t for t in texts]
     set_limit = getattr(sys, "set_int_max_str_digits", None)
     if set_limit is None:
@@ -436,7 +445,7 @@ def test_read_int_is_int_at_and_past_the_split():
     try:
         set_limit(0)
         expected = [int(t) for t in texts]
-        for limit in [4300, 0]:
+        for limit in [4300, 640, 0]:
             set_limit(limit)
             assert [read_int(t, size=False) for t in texts] == expected, limit
     finally:
