@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-@memo
+@memo(maxsize=1 << 10)  # 2400 requests at n <= 1200 hold 504 (type, n), 5-7 kB each near n = 1000
 def _atomic_from_type(core, nu, n) -> dict:
     """Atomic expansion {mask: int} at ambient size n from the graph type alone
     (relabeling invariance): core holds the path parts >= 2, nu the cycle type,

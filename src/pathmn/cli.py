@@ -14,7 +14,7 @@ import os
 import sys
 
 from pathmn import characters, oracles, ribbons, statistics, symfunc
-from pathmn.errors import GuardError, OracleMismatch, ParseError, int_text, read_int
+from pathmn.errors import GuardError, OracleMismatch, ParseError, effective_limit, int_text, read_int
 from pathmn.partial_perm import parse_pp
 from pathmn.partitions import format_partition, parse_composition, parse_partition
 from pathmn.symfunc import PATH, POWER, SymExpansion
@@ -88,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        effective_limit(None)  # a malformed PATHMN_MAX_N is refused before any memo can answer
         _HANDLERS[args.command](args)
         sys.stdout.flush()
         return 0

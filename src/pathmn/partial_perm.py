@@ -9,7 +9,6 @@ size 1.
 """
 
 import math
-import re
 from fractions import Fraction
 from itertools import zip_longest
 from typing import NamedTuple, Optional
@@ -163,12 +162,9 @@ def local_dimension(n: int, k: int) -> int:
     return sum(syt_count(lam) ** 2 for lam in near())
 
 
-_SIDE_SPLIT = re.compile(r"\s*->\s*")
-
-
 def parse_pp(text: str, n: int) -> PartialPermutation:
     """Parse "1,4,5 -> 2,5,6" (either side may be empty) at ambient size n."""
-    pieces = _SIDE_SPLIT.split(text.strip())
+    pieces = text.split("->")  # _list_items strips each side
     if len(pieces) != 2:
         raise ParseError(f"expected 'I -> J', got {text!r}")
 

@@ -25,7 +25,7 @@ chain run on it carries no factorial, and the factorials of the last n are kept.
 """
 
 import math
-from functools import lru_cache, partial
+from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -64,14 +64,13 @@ _FACTORIAL_STEP = 64  # factors between a factorial and the last one built, step
 _MEMOS = []  # every memo in the package; this module sits below all that hold one
 
 
-def memo(fn=None, *, maxsize=None):
-    """functools.cache, registered so that clear_caches() empties it; as
-    memo(maxsize=k), an lru_cache that keeps the k results used last."""
-    if fn is None:
-        return partial(memo, maxsize=maxsize)
-    cached = lru_cache(maxsize=maxsize)(fn)
-    _MEMOS.append(cached)
-    return cached
+def memo(maxsize):
+    """An lru_cache that keeps the maxsize results used last, registered so that
+    clear_caches() empties it."""
+    def register(fn):
+        _MEMOS.append(lru_cache(maxsize=maxsize)(fn))
+        return _MEMOS[-1]
+    return register
 
 
 def clear_caches():
@@ -292,7 +291,7 @@ def tiling_from_type_depth(alpha, depths):
     return MonotonicTiling(masks, alpha, depths, cols[1:], prefix)
 
 
-@memo
+@memo(maxsize=1 << 8)  # read by the cross-checks path_chi and char_eval_direct, a few mu each
 def tiling_tally(mu) -> MappingProxyType:
     """shape -> sum of sign(T) over monotonic tilings with size multiset mu, by
     last mask; read-only, since every caller shares the memo's mapping."""
@@ -382,7 +381,7 @@ def _stable_terms(mu, n: int) -> tuple:
     return {sigma: c for sigma, c in terms.items() if c}, mult_factorial(mu) * _factorial(ones)
 
 
-@memo
+@memo(maxsize=1 << 8)  # one per (core, ones cap): 2400 requests at n <= 1200 hold 50
 def _frozen_prefixes(mu, ones) -> tuple:
     """The frozen walk of mu with ones optional singletons, summed up for every n.
 

@@ -255,7 +255,7 @@ def mult_by_power(f: SymExpansion, r: int) -> SymExpansion:
     return _reduced(SCHUR, f.degree + r, f.den, _ribbon_chains(f.nums, (r,)))
 
 
-@memo
+@memo(maxsize=1 << 11)  # table 20, the largest the guard allows, builds 1254 columns and suffixes
 def _p_to_schur(mu) -> dict:
     """p_mu as {mask: int}, its parts added last to first (a shared suffix memo,
     filled shortest suffix first by power_to_schur, so no call recurses deeper)."""

@@ -354,6 +354,41 @@ def test_character_table_columns_are_read_only():
     assert {mu: _p_to_schur(mu) for mu in table.shapes} == memo
 
 
+def test_the_column_memo_holds_the_largest_table_and_a_held_table_outlives_it():
+    # table 20, the largest the guard allows, builds 1254 columns and suffixes, all within the bound
+    clear_caches()
+    held = character_table(20)
+    info = _p_to_schur.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (626, 1254, 1254)
+    columns = [dict(c) for c in held.columns]
+    # the tables below it build every partition of n < 20 besides, more than the memo keeps
+    for n in range(20):
+        character_table(n)
+    info = _p_to_schur.cache_info()
+    assert info.currsize == info.maxsize
+    again = character_table(20)
+    assert _p_to_schur.cache_info().misses > info.misses  # some columns were evicted and are built again
+    assert [dict(c) for c in held.columns] == columns == [dict(c) for c in again.columns]
+
+
+def test_the_atomic_memo_stays_at_its_bound_over_many_sizes():
+    # one process asking for 10 graph types at each of 600 sizes keeps only the expansions used last
+    pairs = [((1,), (2,)), ((1,), (1,)), ((1, 2), (2, 3)), ((1, 2), (2, 1)), ((1, 3), (2, 4)),
+             ((1, 2), (1, 2)), ((1, 2, 3), (2, 3, 4)), ((1, 2, 3), (2, 3, 1)), ((1, 2, 4), (2, 1, 5)),
+             ((1, 2, 4, 5), (2, 3, 5, 6))]
+    memo = pathmn.characters._atomic_from_type
+    clear_caches()
+    first = atomic_schur(PartialPermutation(600, *pairs[0]))
+    for n in range(600, 1200):
+        for I, J in pairs:
+            atomic_schur(PartialPermutation(n, I, J))
+    info = memo.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 6000, info.maxsize)
+    assert atomic_schur(PartialPermutation(600, *pairs[0])) == first  # evicted, and built again
+    assert memo.cache_info().misses == 6001
+    clear_caches()
+
+
 def test_character_table_value_outside_the_table():
     table = character_table(4)
     assert table.value((2, 1, 1), [1, 2, 1]) == table.value((2, 1, 1), (2, 1, 1)) == -1

@@ -663,7 +663,8 @@ def test_cli_import_loads_no_module_beyond_those_the_package_names():
 
 
 def test_cli_reads_no_private_names_of_the_package():
-    tree = ast.parse(open(pathmn.cli.__file__, encoding="utf-8").read())
+    with open(pathmn.cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
     bound, private = set(), []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "pathmn":
@@ -769,6 +770,20 @@ def test_the_integer_grammar_was_looser_before(capsys, monkeypatch):
                  '{"n": 3, "terms": [{"coeff": 1, "I": "12", "J": [2, 3]}]}'):
         with pytest.raises(ParseError, match="malformed statistic object"):
             stat_from_json(text)
+
+
+def test_every_command_refuses_a_malformed_override_before_any_memo_answers(capsys, monkeypatch, tmp_path):
+    # neither request reaches a guard: p_2 is answered from the memo, and an empty statistic builds nothing
+    power_to_schur(SymExpansion(POWER, 2, {(2,): 1}))
+    path = tmp_path / "empty.json"
+    path.write_text('{"n": 3, "terms": []}', encoding="utf-8")
+    monkeypatch.setenv("PATHMN_MAX_N", "1_000")
+    for argv in (["p-expand", "2"], ["stat", str(path)]):
+        _, err = run_cli(capsys, argv, expect_rc=2)
+        assert err == "error: PATHMN_MAX_N must be an integer, got '1_000'\n"
+    monkeypatch.delenv("PATHMN_MAX_N")
+    out, _ = run_cli(capsys, ["stat", str(path)])
+    assert out == "0\n"
 
 
 def test_plain_integer_spellings_keep_their_values(capsys, monkeypatch):

@@ -238,6 +238,37 @@ def test_parse_and_format_pp():
         parse_pp("1 -> 9", 4)
 
 
+# each side is split on "->" alone and stripped by the list tokenizer, spaces of any kind around the arrow too
+ARROW_CASES = {
+    "->": ((), ()),
+    " -> ": ((), ()),
+    "1 ->": "|I| = 1 but |J| = 0",
+    "-> 1": "|I| = 0 but |J| = 1",
+    "1 ->2": ((1,), (2,)),
+    "1-> 2": ((1,), (2,)),
+    "1 -> 2 -> 3": "expected 'I -> J', got '1 -> 2 -> 3'",
+    "1 -> -> 2": "expected 'I -> J', got '1 -> -> 2'",
+    "1 - > 2": "expected 'I -> J', got '1 - > 2'",
+    "1\u3000->\u30002": ((1,), (2,)),
+    "1\xa0->\u20092": ((1,), (2,)),
+    "\x1c1 -> 2\x85": ((1,), (2,)),
+    "[1, 2]->[3, 4]": ((1, 2), (3, 4)),
+    "1 --> 2": "bad index list '1 -' in '1 --> 2'",
+    "1 ->> 2": "bad index list '> 2' in '1 ->> 2'",
+}
+
+
+@pytest.mark.parametrize("text", ARROW_CASES)
+def test_parse_pp_arrow_edge_cases(text):
+    expect = ARROW_CASES[text]
+    if isinstance(expect, str):
+        with pytest.raises(ParseError) as info:
+            parse_pp(text, 5)
+        assert str(info.value) == expect
+    else:
+        assert parse_pp(text, 5) == PartialPermutation(5, *expect)
+
+
 def test_pp_from_graph_type_round_trip():
     for n in range(7):
         for path_total in range(n + 1):

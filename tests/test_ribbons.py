@@ -591,6 +591,13 @@ def test_clear_caches_is_safe():
     assert skew_mn((4, 3, 1), (3, 2, 2, 1)) == before
 
 
+def test_every_memo_is_bounded():
+    # one memo form, memo(maxsize): no memo grows with the number of distinct queries one process answers
+    bounds = {m.__qualname__: m.cache_parameters()["maxsize"] for m in pathmn.ribbons._MEMOS}
+    assert len(bounds) == len(pathmn.ribbons._MEMOS) >= 12
+    assert all(type(b) is int and b > 0 for b in bounds.values()), bounds
+
+
 def test_a_factorial_is_stepped_from_the_last_one_built(monkeypatch):
     # within _FACTORIAL_STEP = 64 factors of the last factorial built, up or
     # down, k! is that one times or divided by the factors between
