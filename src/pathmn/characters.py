@@ -26,7 +26,7 @@ from pathmn.partitions import (
     pad_row,
     partitions_of,
 )
-from pathmn.ribbons import _mask, _ribbon_chains, _stable_terms, memo, skew_mn, tiling_tally
+from pathmn.ribbons import _mask, _primitive, _ribbon_chains, _stable_terms, memo, skew_mn, tiling_tally
 from pathmn.symfunc import SCHUR, SymExpansion, _p_to_schur
 
 __all__ = [
@@ -41,25 +41,25 @@ __all__ = [
 ]
 
 
-@memo(maxsize=1 << 10)  # 2400 requests at n <= 1200 hold 504 (type, n), 5-7 kB each near n = 1000
-def _atomic_from_type(core, nu, n) -> dict:
-    """Atomic expansion {mask: int} at ambient size n from the graph type alone
-    (relabeling invariance): core holds the path parts >= 2, nu the cycle type,
-    as partial_perm._graph_type walks them.
+@memo(maxsize=1 << 10)  # 2400 requests at n <= 1200 hold 504 (type, n), small ints and a shared factor
+def _atomic_from_type(core, nu, n) -> tuple:
+    """Atomic expansion at ambient size n from the graph type alone (relabeling
+    invariance), as (primitive {mask: int}, factor): core holds the path parts
+    >= 2, nu the cycle type, as partial_perm._graph_type walks them.
 
     The path factor is evaluated through the frozen-tiling stable formula
     (the size-1 paths are absorbed into the padding), then one ribbon of
     each cycle part is added, largest first, to its small terms: the chain
-    is linear, so its factorial prefactor multiplies each result once.
+    is linear, so its factorial factor stays apart, multiplied into no term.
     """
-    path, prefactor = _stable_terms(core, n - sum(nu))
-    return {m: prefactor * c for m, c in _ribbon_chains(path, sorted(nu, reverse=True)).items()}
+    path, factor = _stable_terms(core, n - sum(nu))
+    return _primitive(_ribbon_chains(path, sorted(nu, reverse=True)), factor)
 
 
 def atomic_schur(pp: PartialPermutation) -> SymExpansion:
     """Schur expansion of the atomic function A_{n,I,J}; coefficients are the
     character values chi^lam([I,J])."""
-    return SymExpansion._trusted(SCHUR, pp.n, 1, _atomic_from_type(*_graph_type(pp.pairs()), pp.n))
+    return SymExpansion._trusted(SCHUR, pp.n, *_atomic_from_type(*_graph_type(pp.pairs()), pp.n), 1)
 
 
 def char_eval(lam, pp: PartialPermutation) -> int:
@@ -69,11 +69,11 @@ def char_eval(lam, pp: PartialPermutation) -> int:
         raise ParseError(f"|lam| = {sum(lam)} but ambient size is {pp.n}")
     core, nu = _graph_type(pp.pairs())
     size = pp.n - sum(nu)
-    path, prefactor = _stable_terms(core, size)
+    path, factor = _stable_terms(core, size)
     # the path factor holds (size) with a coefficient > 0: the shape inside all is a row
     floor = (min(m.bit_length() - m.bit_count() for m in path),) if size else ()
     inner = _ribbon_chains({_mask(lam): 1}, [-r for r in nu], floor)
-    return prefactor * sum(c * path.get(m, 0) for m, c in inner.items())
+    return factor * sum(c * path.get(m, 0) for m, c in inner.items())
 
 
 def char_eval_direct(lam, pp: PartialPermutation) -> int:

@@ -170,6 +170,10 @@ def parse_pp(text: str, n: int) -> PartialPermutation:
 
     def side(s):
         s, items = _list_items(s)
+        digits = "".join(items)
+        # tokens of at most 18 ASCII digits fit an index: read at once, the rest one by one
+        if digits.isascii() and digits.isdigit() and len(max(items, key=len)) <= 18:
+            return tuple(map(int, items))
         try:
             return tuple(map(read_int, items))
         except ParseError:

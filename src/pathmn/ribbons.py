@@ -20,8 +20,9 @@ enumerate_monotonic past _MAX_NODES nodes. PATHMN_MAX_N replaces both.
 Both are loops (the walk keeps a stack of candidate iterators), so no part
 takes a stack frame. Path power sums walk only the frozen prefixes of their core
 (parts >= 2), once for every n (_frozen_prefixes), so that walk is counted once;
-at n their expansion is small ints times one prefactor m(mu)!·(n - |mu|)!, so a
-chain run on it carries no factorial, and the factorials of the last n are kept.
+at n their expansion is small ints times one factor m(mu)!·(n - |mu|)!, kept
+apart (as every SymExpansion keeps it), so a chain run on it carries no
+factorial; the factorials of the last n and the path factors read last are kept.
 """
 
 import math
@@ -74,10 +75,12 @@ def memo(maxsize):
 
 
 def clear_caches():
-    """Empty every memo in the package, and forget the last factorial built."""
+    """Empty every memo in the package, and forget the last factorial built and
+    the factors converted last."""
     for m in _MEMOS:
         m.cache_clear()
     _last_factorial[:] = 0, 1
+    _converted.clear()
 
 
 class RibbonAddition(NamedTuple):
@@ -341,11 +344,11 @@ def stable_expansion(mu, n: int):
     """
     from pathmn.symfunc import SCHUR, SymExpansion
 
-    terms, prefactor = _stable_terms(_check_stable_mu(mu, n), n)
-    return SymExpansion._trusted(SCHUR, n, 1, {m: prefactor * c for m, c in terms.items()})
+    return SymExpansion._trusted(SCHUR, n, *_stable_terms(_check_stable_mu(mu, n), n), 1)
 
 
 _last_factorial = [0, 1]  # k and k! of the last factorial _factorial built
+_converted = []  # (g, Decimal(g)) of the last factors symfunc._decimal converted, newest last
 
 
 @memo(maxsize=_MAX_FACTORIALS)
@@ -365,9 +368,11 @@ def _factorial(k) -> int:
     return out
 
 
+@memo(maxsize=1 << 10)  # 2400 requests at n <= 1200 read 539 (mu, n), 1752 times
 def _stable_terms(mu, n: int) -> tuple:
-    """stable_expansion as (terms, prefactor), for a mu that passed _check_stable_mu:
-    the expansion is prefactor = m(mu)!·(n - |mu|)! times the small ints {mask: int}.
+    """stable_expansion as (terms, factor), for a mu that passed _check_stable_mu:
+    the factor m(mu)!·(n - |mu|)! times the small ints of the read-only {mask: int}
+    terms, made primitive by _primitive. Every path factor at n reads it.
 
     With rest of the ones left unplaced, a prefix's tropical orders number
     multinomial(s + rest; counts, rest) = multinomial(s; counts) * C(s + rest, rest).
@@ -378,7 +383,17 @@ def _stable_terms(mu, n: int) -> tuple:
         rest = ones - placed
         sigma = _extend_first_row(m, cells + rest)
         terms[sigma] = terms.get(sigma, 0) + w * math.comb(s + rest, rest)
-    return {sigma: c for sigma, c in terms.items() if c}, mult_factorial(mu) * _factorial(ones)
+    return _primitive({sigma: c for sigma, c in terms.items() if c}, mult_factorial(mu) * _factorial(ones))
+
+
+def _primitive(terms, factor) -> tuple:
+    """(terms/g behind a read-only view, factor·g) for g the gcd of the nonzero
+    int terms: the same expansion with a primitive integer part (factor itself
+    when g is 1), as the memos that hold one hand it out."""
+    g = math.gcd(*terms.values())
+    if g > 1:
+        terms, factor = {m: c // g for m, c in terms.items()}, factor * g
+    return MappingProxyType(terms), factor
 
 
 @memo(maxsize=1 << 8)  # one per (core, ones cap): 2400 requests at n <= 1200 hold 50

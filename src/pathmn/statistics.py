@@ -20,7 +20,8 @@ and in it past _MAX_TERMS held patterns.
 symmetrize is the census sum_Q c_Q·W(n; Q)·A(type Q, n), W the weighted
 count of the placements of Q (1 for a term) and A the atomic expansion of its
 graph type, with no term built; explicit() is its oracle. It returns a Schur
-SymExpansion: integers on Maya masks, the form class_eval removes ribbons from.
+SymExpansion: small integers on Maya masks, the form class_eval removes ribbons
+from, times one factor.
 
 The product, merge-count and class-function memos keep the 4 results used
 last, which hold what variance_on_class reuses: f·f, its route's counts and
@@ -415,12 +416,14 @@ def symmetrize(f) -> SymExpansion:
             w = weight[r, links, weights] = _weight(f.n, r, links, weights)
         key = _graph_type(Q)
         groups[key] = groups.get(key, 0) + c * w
+    atomics = [(c, *_atomic_from_type(core, nu, f.n)) for (core, nu), c in groups.items() if c]
+    shared = math.gcd(*(factor for _, _, factor in atomics))  # so each type scales by a small int
     acc = {}
-    for (core, nu), c in groups.items():
-        if c:
-            for m, v in _atomic_from_type(core, nu, f.n).items():
-                acc[m] = acc.get(m, 0) + c * v
-    return _reduced(SCHUR, f.n, f.den * _factorial(f.n), acc)
+    for c, terms, factor in atomics:
+        c *= factor // shared
+        for m, v in terms.items():
+            acc[m] = acc.get(m, 0) + c * v
+    return _reduced(SCHUR, f.n, acc, shared, f.den * _factorial(f.n))
 
 
 def class_eval(cf: SymExpansion, mu) -> Fraction:
@@ -429,7 +432,7 @@ def class_eval(cf: SymExpansion, mu) -> Fraction:
     if cf.basis != SCHUR or sum(mu) != cf.degree:
         raise ParseError(f"need a Schur expansion of degree |mu| = {sum(mu)}, got ({cf.basis}, {cf.degree})")
     # remove mu from the support
-    return Fraction(_ribbon_chains(cf.nums, [-r for r in mu]).get(0, 0), cf.den)
+    return Fraction(cf.factor * _ribbon_chains(cf.nums, [-r for r in mu]).get(0, 0), cf.den)
 
 
 def variance_on_class(f, mu) -> Fraction:

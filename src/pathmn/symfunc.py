@@ -1,19 +1,19 @@
 """Sparse exact expansions in the Schur, power-sum and path power-sum bases.
 
 A SymExpansion is a degree-homogeneous linear combination with exact rational
-coefficients, integer numerators over one denominator keyed by Maya masks (the
-ribbon kernel's form), decoded to partitions only when a result is read or
+coefficients: one factor/den times a primitive integer part keyed by Maya masks
+(the ribbon kernel's form), decoded to partitions only when a result is read or
 written. Schur-basis expansions, symmetrize's class functions among them, are closed under
 multiplication by a power sum p_r (ribbon additions), which is all the
 multiplication the package needs; conversions between the classical power
 sums, the path power sums, and the Schur basis live here too. An expansion
 prints itself in each output format, render(), to_json() and to_csv(), in time
-linear in the text: the shared factor of its integers is converted to decimal
-once (a small memo keeps it for the other expansions of one n) and each distinct
-quotient once, the rest through errors.int_text, and to_json writes its JSON
-without json.dumps. The writers order the terms by mask, padded to degree
-beads, and write each shape from its mask's parts text, kept in a bounded memo,
-so they build no partition. from_json reads the integers back through errors.read_int.
+linear in the text: a large factor is converted to decimal once (a small memo
+keeps it for the other expansions of one n), each numerator is its product with
+a small int, and to_json writes its JSON without json.dumps. The writers order
+the terms by mask, padded to degree beads, and write each shape from its mask's
+parts text, kept in a bounded memo, so they build no partition. from_json reads
+the integers back through errors.read_int.
 """
 
 import csv
@@ -31,7 +31,7 @@ from pathmn.partitions import (
     is_partition,
 )
 # add_ribbons is unused here but stays bound: perfbench's tracer test looks for it
-from pathmn.ribbons import _mask, _ribbon_chains, _shape, _stable_terms, add_ribbons, memo
+from pathmn.ribbons import _converted, _mask, _ribbon_chains, _shape, _stable_terms, add_ribbons, memo
 
 __all__ = [
     "SCHUR",
@@ -57,7 +57,7 @@ DOT = "·"
 MINUS = "−"
 
 
-# Below this size of common factor, converting each value is as fast
+# Below this size of factor, converting each product is as fast
 # (break-even measured between 1500 and 2000 bits on CPython 3.10-3.13).
 _SHARED_BITS = 2048
 _MAX_PARTS_TEXTS = 1 << 10  # shapes written: 2400 requests at n <= 1200 write 469 distinct ones
@@ -65,8 +65,19 @@ _MAX_PARTS_TEXTS = 1 << 10  # shapes written: 2400 requests at n <= 1200 write 4
 
 @memo(maxsize=64)
 def _decimal(g) -> Decimal:
-    """Decimal(g): the shared factor of one n recurs in many expansions."""
-    return _int_decimal(g)
+    """Decimal(g), exactly: the factor of one n recurs in many expansions. The
+    factors of one n differ by a few small factors, so a g that one of the last
+    8 converted divides, or is divided by, is its Decimal times or over their
+    quotient, in time linear in the digits (Decimal(g) is quadratic)."""
+    ctx = Context(prec=g.bit_length() // 3 + 2, Emax=MAX_EMAX, traps=[Inexact, Rounded])
+    for h, d in reversed(_converted):
+        if abs(h.bit_length() - g.bit_length()) < 512 and not (g % h and h % g):
+            out = ctx.multiply(d, g // h) if h <= g else ctx.divide(d, h // g)
+            break
+    else:
+        out = _int_decimal(g)
+    _converted[:] = [*_converted[-7:], (g, out)]
+    return out
 
 
 @memo(maxsize=_MAX_PARTS_TEXTS)
@@ -76,31 +87,35 @@ def _parts_text(m) -> str:
     return ",".join(map(str, _shape(m)))
 
 
-def _ints_text(values) -> list:
-    """[int_text(v) for v in values], converting their common factor once.
+def _ints_text(values, factor) -> list:
+    """[int_text(factor * v) for v in values], factor > 0 and values a list.
 
     Expansion coefficients at large n share a huge factor ((n - r)! times a
-    polynomial), and int -> text is quadratic in the digits. The factor g is
-    converted to a Decimal once (and kept in a small memo); each distinct
-    |v // g| is then the exact product of it, whose text costs linear time.
+    polynomial), and int -> text is quadratic in the digits. A factor of
+    _SHARED_BITS or more is converted to a Decimal once (and kept in a small
+    memo); each text is then its exact product with a small int, in linear
+    time, once for each magnitude. Below that, each product is written by
+    one str, through int_text only when a digit limit refuses one.
     """
-    g = math.gcd(*values)
-    if g.bit_length() < _SHARED_BITS:
-        return [int_text(v) for v in values]
+    if factor.bit_length() < _SHARED_BITS:
+        try:
+            return [str(factor * v) for v in values]
+        except ValueError:  # past the interpreter's digit limit
+            return [int_text(factor * v) for v in values]
     # 3 bits per digit over-counts, so no product is ever rounded
-    digits = max(v.bit_length() for v in values) // 3 + 2
+    digits = (factor.bit_length() + max((v.bit_length() for v in values), default=0)) // 3 + 2
     ctx = Context(prec=digits, Emax=MAX_EMAX, traps=[Inexact, Rounded])
-    shared = _decimal(g)
-    quotients = [v // g for v in values]
-    texts = {a: str(ctx.multiply(shared, a)) for a in set(map(abs, quotients))}
-    return ["-" + texts[-q] if q < 0 else texts[q] for q in quotients]
+    shared = _decimal(factor)
+    texts = {a: str(ctx.multiply(shared, a)) for a in set(map(abs, values))}
+    return ["-" + texts[-v] if v < 0 else texts[v] for v in values]
 
 
 class SymExpansion:
-    """Homogeneous expansion in one basis: sum (nums[m]/den)·b_lam, nums a
-    read-only {Maya mask of lam: nonzero int} in lowest terms with den, so
-    equal expansions are ==. No field can be assigned; the partitions are
-    decoded only when terms, items, coeff or a writer reads them."""
+    """Homogeneous expansion in one basis: sum (factor·nums[m]/den)·b_lam, nums
+    a read-only {Maya mask of lam: nonzero int} with gcd 1, factor/den > 0 in
+    lowest terms (1/1 for 0), a unique form, so equal expansions are ==. No
+    field can be assigned; the partitions are decoded only when terms, items,
+    coeff or a writer reads them."""
 
     def __init__(self, basis, degree, terms):
         """From {partition: coefficient}, validated; zero coefficients are dropped."""
@@ -115,26 +130,31 @@ class SymExpansion:
                 raise ParseError(f"term {lam} has degree {sum(lam)}, expected {degree}")
             coeffs[_mask(lam)] = Fraction(c)
         den = math.lcm(*(c.denominator for c in coeffs.values()))
-        nums = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items() if c}
-        vars(self).update(basis=basis, degree=degree, den=den, nums=MappingProxyType(nums))
+        nums = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
+        vars(self).update(vars(_reduced(basis, degree, nums, 1, den)))
 
     @classmethod
-    def _trusted(cls, basis, degree, den, nums) -> "SymExpansion":
-        """From nonzero ints nums in lowest terms with den, unchecked; nums is wrapped, not copied."""
-        out = cls.__new__(cls)
-        vars(out).update(basis=basis, degree=degree, den=den, nums=MappingProxyType(nums))
+    def _trusted(cls, basis, degree, nums, factor, den) -> "SymExpansion":
+        """From primitive nums and factor, den > 0, unchecked: factor/den is put in
+        lowest terms (1/1 when nums is empty), nums wrapped (once), not copied."""
+        if not nums:
+            factor = den = 1
+        out, g = cls.__new__(cls), math.gcd(factor, den)
+        if type(nums) is not MappingProxyType:
+            nums = MappingProxyType(nums)
+        vars(out).update(basis=basis, degree=degree, nums=nums, factor=factor // g, den=den // g)
         return out
 
     def __setattr__(self, name, value):
         raise AttributeError(f"SymExpansion is read-only: cannot set {name}")
 
     def __reduce__(self):  # pickle and deepcopy: the view itself cannot be pickled
-        return SymExpansion._trusted, (self.basis, self.degree, self.den, dict(self.nums))
+        return SymExpansion._trusted, (self.basis, self.degree, dict(self.nums), self.factor, self.den)
 
     @property
     def terms(self) -> dict:
         """{partition: Fraction}, decoded from the masks each time it is read."""
-        return {_shape(m): Fraction(v, self.den) for m, v in self.nums.items()}
+        return {_shape(m): Fraction(self.factor * v, self.den) for m, v in self.nums.items()}
 
     @property
     def schur(self) -> "SymExpansion":
@@ -142,11 +162,11 @@ class SymExpansion:
         return self if self.basis == SCHUR else power_to_schur(self)
 
     def coeff(self, lam) -> Fraction:
-        return Fraction(self.nums.get(_mask(lam), 0) if is_partition(lam) else 0, self.den)
+        return Fraction(self.factor * self.nums.get(_mask(lam), 0) if is_partition(lam) else 0, self.den)
 
     def items(self):
         """Terms in canonical (descending lexicographic) partition order."""
-        return sorted(((_shape(m), Fraction(v, self.den)) for m, v in self.nums.items()), reverse=True)
+        return sorted(self.terms.items(), reverse=True)
 
     def __eq__(self, other):
         return isinstance(other, SymExpansion) and vars(self) == vars(other)
@@ -162,39 +182,45 @@ class SymExpansion:
                 f"incompatible expansions: ({self.basis}, {self.degree})"
                 f" vs ({other.basis}, {other.degree})"
             )
-        out = {m: v * other.den for m, v in self.nums.items()}
+        # the sum is g/(den·den') times the ints a·nums + b·nums', factor·den' = a·g
+        g = math.gcd(self.factor * other.den, other.factor * self.den)
+        a, b = self.factor * other.den // g, other.factor * self.den // g
+        out = {m: a * v for m, v in self.nums.items()}
         for m, v in other.nums.items():
-            out[m] = out.get(m, 0) + v * self.den
-        return _reduced(self.basis, self.degree, self.den * other.den, out)
+            out[m] = out.get(m, 0) + b * v
+        return _reduced(self.basis, self.degree, out, g, self.den * other.den)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c) -> "SymExpansion":
+        """c times this expansion: the factor and den, and for c <= 0 the signs of nums."""
         c = Fraction(c)
-        return _reduced(self.basis, self.degree, self.den * c.denominator,
-                        {m: v * c.numerator for m, v in self.nums.items()})
+        nums = self.nums if c > 0 else {m: -v for m, v in self.nums.items() if c}
+        return SymExpansion._trusted(self.basis, self.degree, nums, self.factor * abs(c.numerator),
+                                     self.den * c.denominator)
 
     def _written(self) -> list:
-        """(parts text, num, den text) per term in the order of items(), in lowest terms:
-        sorted by the mask padded to degree beads, which orders as the partitions do."""
+        """(parts text, num text, den text) per term in the order of items(), in lowest
+        terms: sorted by the mask padded to degree beads, which orders as the
+        partitions do. The factor is prime to den, so a term reduces by gcd(num, den)."""
         den, degree, den_text = self.den, self.degree, int_text(self.den)
-        return [(_parts_text(m), v // g, int_text(den // g)) if den > 1 and (g := math.gcd(v, den)) > 1
+        rows = [(_parts_text(m), v // g, int_text(den // g)) if den > 1 and (g := math.gcd(v, den)) > 1
                 else (_parts_text(m), v, den_text)
                 for m, v in sorted(self.nums.items(), key=lambda t: t[0] << (degree - t[0].bit_count()),
                                    reverse=True)]
+        texts = _ints_text([v for _, v, _ in rows], self.factor)
+        return [(parts, text, den) for (parts, _, den), text in zip(rows, texts)]
 
     def render(self, long=False) -> str:
         """Human format, e.g. "(5/2)·s[6] − (1/2)·s[5,1]" and "1·s[]"."""
         sym = _SYMBOL[self.basis]
         if not self.nums:
             return "0"
-        rows = self._written()
         pieces = []
-        for (parts, num, den), coeff in zip(rows, _ints_text([abs(num) for _, num, _ in rows])):
-            if den != "1":
-                coeff = f"({coeff}/{den})"
-            pieces.append((num < 0, f"{coeff}{DOT}{sym}[{parts}]"))
+        for parts, num, den in self._written():
+            coeff = num.lstrip("-") if den == "1" else f"({num.lstrip('-')}/{den})"
+            pieces.append((num[0] == "-", f"{coeff}{DOT}{sym}[{parts}]"))
         if long:
             return "\n".join((MINUS if neg else "") + body for neg, body in pieces)
         out = [(MINUS if pieces[0][0] else "") + pieces[0][1]]
@@ -209,22 +235,20 @@ class SymExpansion:
     def to_json(self) -> str:
         """{"basis", "degree", "terms"}, each term {"partition": [...], "num":
         "...", "den": "..."}, byte for byte as json.dumps writes them."""
-        rows = self._written()
         terms = [
-            '{"partition": [' + parts.replace(",", ", ") + '], "num": "' + text + '", "den": "' + den + '"}'
-            for (parts, _, den), text in zip(rows, _ints_text([num for _, num, _ in rows]))
+            '{"partition": [' + parts.replace(",", ", ") + '], "num": "' + num + '", "den": "' + den + '"}'
+            for parts, num, den in self._written()
         ]
         return ('{"basis": "' + self.basis + '", "degree": ' + int_text(self.degree)
                 + ', "terms": [' + ", ".join(terms) + "]}")
 
     def to_csv(self) -> str:
         """A "partition,num,den" header, then one row per term; ends in a newline."""
-        rows = self._written()
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["partition", "num", "den"])
-        for (parts, _, den), text in zip(rows, _ints_text([num for _, num, _ in rows])):
-            writer.writerow(["[" + parts + "]", text, den])
+        for parts, num, den in self._written():
+            writer.writerow(["[" + parts + "]", num, den])
         return buf.getvalue()
 
     @classmethod
@@ -240,10 +264,11 @@ class SymExpansion:
             return cls(data["basis"], read_int(data["degree"], "degree"), terms)
 
 
-def _reduced(basis, degree, den, acc) -> SymExpansion:
-    """The expansion sum (acc[m]/den)·b_m of the package's ints, in lowest terms, zeros dropped."""
-    g = math.gcd(den, *acc.values())
-    return SymExpansion._trusted(basis, degree, den // g, {m: v // g for m, v in acc.items() if v})
+def _reduced(basis, degree, acc, factor=1, den=1) -> SymExpansion:
+    """The expansion sum (factor·acc[m]/den)·b_m of the package's ints, factor
+    and den > 0, in its normal form, zeros dropped."""
+    g = math.gcd(*acc.values()) or 1
+    return SymExpansion._trusted(basis, degree, {m: v // g for m, v in acc.items() if v}, factor * g, den)
 
 
 def mult_by_power(f: SymExpansion, r: int) -> SymExpansion:
@@ -252,7 +277,7 @@ def mult_by_power(f: SymExpansion, r: int) -> SymExpansion:
         raise ParseError("mult_by_power needs a Schur-basis expansion")
     if r < 1:
         raise ParseError(f"power-sum index must be >= 1, got {r}")
-    return _reduced(SCHUR, f.degree + r, f.den, _ribbon_chains(f.nums, (r,)))
+    return _reduced(SCHUR, f.degree + r, _ribbon_chains(f.nums, (r,)), f.factor, f.den)
 
 
 @memo(maxsize=1 << 11)  # table 20, the largest the guard allows, builds 1254 columns and suffixes
@@ -275,7 +300,7 @@ def power_to_schur(f: SymExpansion) -> SymExpansion:
             _p_to_schur(mu[i:])
         for q, v in _p_to_schur(mu).items():
             out[q] = out.get(q, 0) + c * v
-    return _reduced(SCHUR, f.degree, f.den, out)
+    return _reduced(SCHUR, f.degree, out, f.factor, f.den)
 
 
 def _merged_indices(mu):
@@ -318,5 +343,5 @@ def path_power_to_schur(mu) -> SymExpansion:
     parts >= 2) at degree |mu|, with the singletons as the padding. It equals m(mu)!
     times the signed tally of monotonic tilings of mu by shape (tested)."""
     mu = check_partition(tuple(sorted(mu, reverse=True)))
-    terms, prefactor = _stable_terms(tuple(p for p in mu if p > 1), sum(mu))
-    return SymExpansion(SCHUR, sum(mu), {_shape(m): prefactor * c for m, c in terms.items()})
+    terms, factor = _stable_terms(tuple(p for p in mu if p > 1), sum(mu))
+    return SymExpansion(SCHUR, sum(mu), {_shape(m): c for m, c in terms.items()}).scale(factor)

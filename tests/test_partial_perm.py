@@ -238,6 +238,27 @@ def test_parse_and_format_pp():
         parse_pp("1 -> 9", 4)
 
 
+def test_a_side_of_plain_indices_is_read_at_once(monkeypatch):
+    # a side of ASCII digit tokens of at most 18 digits is read by int, no read_int per
+    # token; any other side is read token by token, which names the bad one
+    calls = []
+    read_int = pathmn.partial_perm.read_int
+    monkeypatch.setattr(pathmn.partial_perm, "read_int", lambda *a: calls.append(a) or read_int(*a))
+    assert parse_pp("[3, 01] -> 2 4", 5) == PartialPermutation(5, (3, 1), (2, 4))
+    assert calls == []
+    assert parse_pp("1 -> " + "0" * 18 + "2", 5) == PartialPermutation(5, (1,), (2,))
+    assert calls == [("0" * 18 + "2",)]
+    for text, message in [("1,x -> 2,3", "bad index list '1,x'"), ("1 -> -2", "J entry -2 outside"),
+                          ("1 -> 99999999999999999999", "bad index list '99999999999999999999'")]:
+        with pytest.raises(ParseError, match=message):
+            parse_pp(text, 5)
+    # the first entry outside the range is named
+    with pytest.raises(ParseError, match=r"^I entry 9 outside \[1..5\]$"):
+        PartialPermutation(5, (2, 9, 0), (1, 3, 4))
+    with pytest.raises(ParseError, match=r"^J entry 0 outside \[1..5\]$"):
+        PartialPermutation(5, (2, 3, 4), (1, 0, 7))
+
+
 # each side is split on "->" alone and stripped by the list tokenizer, spaces of any kind around the arrow too
 ARROW_CASES = {
     "->": ((), ()),

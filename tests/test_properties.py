@@ -1,9 +1,12 @@
 """Property tests on seeded random partial permutations (Hypothesis, derandomized)."""
 
+import copy
 import csv
 import io
 import json
 import math
+import pickle
+import random
 import sys
 from fractions import Fraction
 
@@ -15,6 +18,7 @@ from pathmn import (
     PATH,
     POWER,
     SCHUR,
+    GraphType,
     IndicatorTerm,
     PartialPermutation,
     Statistic,
@@ -29,7 +33,10 @@ from pathmn import (
     make_statistic,
     pack,
     partitions_of,
+    path_power_to_schur,
     power_to_schur,
+    pp_from_graph_type,
+    stable_expansion,
     stat_product,
     symmetrize,
 )
@@ -216,7 +223,7 @@ def test_json_text_is_what_json_dumps_writes(e):
 
 def _reference_rows(e):
     """(partition, Fraction) per term: each mask decoded, the tuples sorted descending."""
-    return sorted(((_shape(m), Fraction(v, e.den)) for m, v in e.nums.items()), reverse=True)
+    return sorted(((_shape(m), Fraction(e.factor * v, e.den)) for m, v in e.nums.items()), reverse=True)
 
 
 def _reference_render(e, long=False):
@@ -271,3 +278,53 @@ def test_writers_match_a_reference_that_sorts_decoded_partitions(e):
     finally:
         if set_limit:
             set_limit(old)
+
+
+def _seeded_graph_type_expansions():
+    """(atomic expansion, its pp) for seeded graph types on at most 8 points at
+    n = 12, 50, 320 and 1200: paths of 2 or more points and cycles."""
+    rng = random.Random(34)
+    out = []
+    for n in (12, 50, 320, 1200):
+        for _ in range(4):
+            size = rng.randint(2, 8)
+            split = rng.randint(0, size)
+            core = rng.choice([mu for mu in partitions_of(split) if 1 not in mu] or [()])
+            nu = rng.choice(list(partitions_of(size - sum(core))))
+            pp = pp_from_graph_type(GraphType(core + (1,) * (n - sum(core) - sum(nu)), nu), n)
+            out.append((atomic_schur(pp), pp))
+    return out
+
+
+@pytest.mark.parametrize("limit", [4300, 640])
+def test_factored_expansions_equal_validated_ones_and_write_as_fractions(limit):
+    # each expansion holds small ints times one factor; built from its Fraction
+    # terms it is == field by field, it pickles and copies, and every writer,
+    # also after scaling and adding, prints what the Fraction-based reference does
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        pytest.skip("this Python has no int<->str digit limit")
+    built = _seeded_graph_type_expansions()
+    for e, pp in built:  # the values through char_eval, which removes the cycles from each shape
+        assert e == SymExpansion(SCHUR, e.degree, {lam: Fraction(char_eval(lam, pp)) for lam, _ in e.items()})
+    path = stable_expansion((3, 2, 2), 1200)
+    assert path == SymExpansion(SCHUR, 1200, dict(path_power_to_schur((3, 2, 2) + (1,) * 1193).items()))
+    exps = [e for e, _ in built] + [path]
+    assert any(e.factor.bit_length() > 10_000 for e in exps) and all(math.gcd(*e.nums.values()) == 1 for e in exps)
+    old = sys.get_int_max_str_digits()
+    set_limit(limit)
+    try:
+        for e, other in zip(exps, exps[1:]):
+            variants = [e, e.scale(Fraction(1, 3)), e.scale(-1)]
+            if other.degree == e.degree:
+                variants.append(e + other.scale(Fraction(-5, 7)))
+            for v in variants:
+                assert v == SymExpansion(SCHUR, v.degree, {lam: Fraction(c) for lam, c in v.items()})
+                for copied in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
+                    assert copied == v
+                assert v.render() == _reference_render(v)
+                assert v.render(long=True) == _reference_render(v, long=True)
+                assert v.to_json() == _reference_json(v)
+                assert v.to_csv() == _reference_csv(v)
+    finally:
+        set_limit(old)

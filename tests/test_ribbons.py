@@ -522,6 +522,27 @@ def test_stable_terms_match_the_per_prefix_sum():
             assert all(c and abs(c).bit_length() < 100 for c in terms.values())
 
 
+def test_the_path_factor_memo_is_bounded_read_only_and_shared():
+    # _stable_terms keeps its primitive small ints behind a read-only view and
+    # its factor apart; every path factor at (core, size) reads the one entry
+    clear_caches()
+    terms, factor = _stable_terms((4, 2), 1200)
+    assert math.gcd(*terms.values()) == 1 and factor == mult_factorial((4, 2)) * math.factorial(1194)
+    assert not any(hasattr(terms, name) for name in ("__setitem__", "__delitem__", "clear", "update"))
+    with pytest.raises(TypeError):
+        _stable_terms((4, 2), 12)[0][1 << 11] = 0
+    stable_expansion((4, 2), 1200)
+    path_power_to_schur((4, 2) + (1,) * 1194)
+    pp = PartialPermutation(1201, (1, 2, 3, 5, 7), (2, 3, 4, 6, 7))  # paths 4, 2 and a 1-cycle
+    atomic_schur(pp)
+    pathmn.char_eval((1201,), pp)
+    info = _stable_terms.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+    assert stable_expansion((4, 2), 1200).nums == terms
+    # bounded above the 539 keys that 2400 seeded requests at n <= 1200 read
+    assert 539 <= info.maxsize < 1 << 12
+
+
 def test_a_core_is_walked_once_for_every_n():
     core = (4, 3, 2)
     clear_caches()
@@ -577,6 +598,7 @@ def test_clear_caches_is_safe():
         "pathmn.ribbons.tiling_tally",
         "pathmn.ribbons._frozen_prefixes",
         "pathmn.ribbons._factorial",
+        "pathmn.ribbons._stable_terms",
         "pathmn.symfunc._p_to_schur",
         "pathmn.symfunc._decimal",
         "pathmn.symfunc._parts_text",

@@ -38,7 +38,7 @@ from pathmn import (
 )
 from pathmn.errors import _SPLIT_BITS, _SPLIT_DIGITS, _int_decimal, read_int
 from pathmn.errors import int_text as _int_text
-from pathmn.ribbons import _mask, _shape, _stable_terms
+from pathmn.ribbons import _converted, _mask, _shape, _stable_terms
 from pathmn.symfunc import _SHARED_BITS, _ints_text
 
 
@@ -330,14 +330,17 @@ def test_ints_text_matches_each_value():
     cases = [
         [],
         [7],
-        [-shared],
+        [-1],
         [2**64 + 1, 3**50, -7, 0],
-        [shared * c for c in (1, -3, 0, 10**50, -(10**40 + 1), 7**600, 12345)],
-        # each magnitude is converted once, for both signs and every repeat
-        [shared * c for c in (1, -1, 3, -3, 1, 0)],
+        [1, -3, 0, 10**50, -(10**40 + 1), 7**600, 12345],
+        # every sign and repeat
+        [1, -1, 3, -3, 1, 0],
     ]
-    for values in cases:
-        assert _ints_text(values) == [_int_text(v) for v in values]
+    # each value times a factor: converted once when it is large, multiplied in when it is small
+    for factor in (1, 6, 3**1000, shared, shared * 7):
+        for values in cases:
+            assert _ints_text(values, factor) == [_int_text(factor * v) for v in values]
+    assert _ints_text([shared * 5, -shared], 1) == [_int_text(shared * 5), _int_text(-shared)]
 
 
 def test_ints_text_past_the_digit_limit():
@@ -348,12 +351,32 @@ def test_ints_text_past_the_digit_limit():
     set_limit(4300)
     try:
         shared = math.factorial(2000)  # 5736 digits
-        values = [shared * c for c in (1, -2, 10**30, 3**2000)]
+        values = [1, -2, 10**30, 3**2000]
         with pytest.raises(ValueError):
-            str(values[0])
-        assert _ints_text(values) == [_int_text(v) for v in values]
+            str(shared)
+        assert _ints_text(values, shared) == [_int_text(shared * v) for v in values]
+        # a small factor whose products pass the limit, through int_text
+        assert _ints_text([shared * v for v in values], 3) == [_int_text(3 * shared * v) for v in values]
+        set_limit(640)
+        assert _ints_text([10**700, -(10**639)], 7) == [_int_text(7 * 10**700), _int_text(-7 * 10**639)]
     finally:
         set_limit(old)
+
+
+def test_a_factor_near_one_converted_is_derived_from_it(monkeypatch):
+    # the factors of one n divide each other by a few small factors: a factor that one
+    # of the last 8 converted divides, or is divided by, is not converted from scratch
+    clear_caches()
+    scratch = []
+    monkeypatch.setattr(symfunc, "_int_decimal", lambda g: scratch.append(g) or _int_decimal(g))
+    a, b, c = math.factorial(1192), math.factorial(1198) * 6, math.factorial(1195) * 7
+    far = math.factorial(792)
+    for g in (a, b, c, far, far * 5 * 793 * 794):
+        assert symfunc._decimal(g) == Decimal(g) and str(symfunc._decimal(g)) == _int_text(g)
+    assert scratch == [a, far]
+    assert len(_converted) == 5
+    clear_caches()
+    assert _converted == []
 
 
 def test_render_and_json_convert_the_common_factor_once(monkeypatch):
